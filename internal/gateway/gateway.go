@@ -8,14 +8,23 @@
 // answers byte-identically — which is what makes this layer possible
 // without any coordination between backends.
 //
+// There is one job path and one backend send function (sendJob): every
+// job travels to a backend as a single-job /v2 batch. A /v2 batch fans
+// out into such jobs; a /v1 request is one, decoded strictly into the
+// same service.JobRequest a batch entry carries, and answered with the
+// payload of its result line — the bytes a single node's /v1 endpoint
+// writes.
+//
 // Degradation is graceful by construction: the gateway embeds a local
-// service.Server, used both to validate batches up front with exactly
-// the errors a single-node daemon would produce and to execute jobs
-// locally when every backend for a key is down. A /v2 batch therefore
-// survives backend death mid-stream: the affected jobs retry on other
-// replicas or run locally, and their lines arrive in order like any
-// other — clients cannot tell a degraded batch from a healthy one
-// except by the X-Dvid-Degraded header and the gateway's /metrics.
+// service.Server, used to validate every request up front with exactly
+// the errors a single-node daemon would produce (an invalid request
+// never reaches a backend), to answer the workload catalogue, and to
+// execute jobs locally when every backend for a key is down. A /v2
+// batch therefore survives backend death mid-stream: the affected jobs
+// retry on other replicas or run locally, and their lines arrive in
+// order like any other — clients cannot tell a degraded answer from a
+// healthy one except by the X-Dvid-Degraded header and the gateway's
+// /metrics.
 package gateway
 
 import (
@@ -68,8 +77,8 @@ type Config struct {
 	// required.
 	Backends []string
 	// Local is the embedded fallback service. Required: it provides
-	// whole-batch validation parity with single-node daemons and the
-	// degradation path when every backend is down.
+	// validation parity with single-node daemons, the workload
+	// catalogue, and the degradation path when every backend is down.
 	Local *service.Server
 	// RequestTimeout bounds each dispatch attempt to one backend
 	// (0 = DefaultRequestTimeout).
@@ -227,11 +236,12 @@ func New(cfg Config) (*Gateway, error) {
 	g.hc = &http.Client{Transport: cfg.Transport}
 
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v2/jobs", g.handleJobs)
-	mux.HandleFunc("POST /v1/annotate", g.proxyHandler("annotate", "/v1/annotate"))
-	mux.HandleFunc("POST /v1/simulate", g.proxyHandler("simulate", "/v1/simulate"))
-	mux.HandleFunc("POST /v1/ctxswitch", g.proxyHandler("ctxswitch", "/v1/ctxswitch"))
-	mux.HandleFunc("GET /v1/workloads", g.handleWorkloads)
+	mux.HandleFunc("POST /v2/jobs", g.front("jobs", g.handleJobs))
+	for _, kind := range []string{"annotate", "simulate", "ctxswitch"} {
+		mux.HandleFunc("POST /v1/"+kind, g.front(kind, g.handleV1(kind)))
+	}
+	// The catalogue every request is validated against answers locally.
+	mux.Handle("GET /v1/workloads", g.local)
 	mux.HandleFunc("GET /healthz", g.handleHealth)
 	mux.HandleFunc("GET /metrics", g.handleMetrics)
 	mux.HandleFunc("GET /debug/trace/recent", g.handleTraceRecent)
@@ -477,28 +487,36 @@ type rawLine struct {
 	Error     string          `json:"error,omitempty"`
 }
 
+// payload is the line's job result object: the bytes a single node's
+// /v1 endpoint answers for the same job, less the trailing newline.
+func (l *rawLine) payload() json.RawMessage {
+	switch l.Kind {
+	case "simulate":
+		return l.Simulate
+	case "ctxswitch":
+		return l.CtxSwitch
+	}
+	return l.Annotate
+}
+
+// frame encodes the line at batch position idx, newline-terminated.
+func (l *rawLine) frame(idx int) []byte {
+	l.Index = idx
+	out, err := json.Marshal(l)
+	if err != nil {
+		out = []byte(fmt.Sprintf(`{"index":%d,"kind":%q,"error":"gateway: encode result line"}`, idx, l.Kind))
+	}
+	return append(out, '\n')
+}
+
 // toRawLine converts a locally executed result into the wire framing.
+// Decoding a payload into a json.RawMessage keeps its bytes as
+// encoded, so they match a backend's line for the same job.
 func toRawLine(res service.JobResult) (rawLine, error) {
-	rl := rawLine{Index: res.Index, Kind: res.Kind, Error: res.Error}
-	marshal := func(v any) (json.RawMessage, error) {
-		b, err := json.Marshal(v)
-		return b, err
-	}
-	var err error
-	if res.Simulate != nil {
-		if rl.Simulate, err = marshal(res.Simulate); err != nil {
-			return rl, err
-		}
-	}
-	if res.CtxSwitch != nil {
-		if rl.CtxSwitch, err = marshal(res.CtxSwitch); err != nil {
-			return rl, err
-		}
-	}
-	if res.Annotate != nil {
-		if rl.Annotate, err = marshal(res.Annotate); err != nil {
-			return rl, err
-		}
+	var rl rawLine
+	b, err := json.Marshal(res)
+	if err == nil {
+		err = json.Unmarshal(b, &rl)
 	}
 	return rl, err
 }
@@ -508,8 +526,10 @@ func toRawLine(res service.JobResult) (rawLine, error) {
 // status, or truncated/malformed stream — a backend killed mid-write —
 // is an error, which dispatch retries elsewhere: per-job error
 // isolation survives backend death because only deterministic per-job
-// failures travel inside a successfully parsed line.
-func (g *Gateway) sendJob(ctx context.Context, b *backend, body []byte) (rawLine, error) {
+// failures travel inside a successfully parsed line. A non-empty reqID
+// travels as the backend request's X-Request-Id, so the backend's span
+// tree and logs correlate with the gateway's.
+func (g *Gateway) sendJob(ctx context.Context, b *backend, body []byte, reqID string) (rawLine, error) {
 	ctx, cancel := context.WithTimeout(ctx, g.cfg.RequestTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, b.url+"/v2/jobs", bytes.NewReader(body))
@@ -517,6 +537,9 @@ func (g *Gateway) sendJob(ctx context.Context, b *backend, body []byte) (rawLine
 		return rawLine{}, err
 	}
 	req.Header.Set("Content-Type", "application/json")
+	if reqID != "" {
+		req.Header.Set("X-Request-Id", reqID)
+	}
 	res, err := g.hc.Do(req)
 	if err != nil {
 		return rawLine{}, err
@@ -544,11 +567,11 @@ func (g *Gateway) sendJob(ctx context.Context, b *backend, body []byte) (rawLine
 	return line, nil
 }
 
-// runJob resolves one batch entry to its final line bytes: backend
-// dispatch with the full recovery ladder, then local execution when the
-// fleet cannot answer. The returned bytes always end in exactly one
-// newline.
-func (g *Gateway) runJob(ctx context.Context, idx int, jr service.JobRequest, body []byte) []byte {
+// runJob resolves one job to its result line: backend dispatch with the
+// full recovery ladder, then local execution when the fleet cannot
+// answer, which local reports. A nil line means the client is gone and
+// nobody reads it.
+func (g *Gateway) runJob(ctx context.Context, idx int, jr service.JobRequest, body []byte, reqID string) (line *rawLine, local bool) {
 	ctx, span := obs.StartSpan(ctx, "gateway-job")
 	key := routeKeyJob(jr)
 	if span != nil {
@@ -556,38 +579,63 @@ func (g *Gateway) runJob(ctx context.Context, idx int, jr service.JobRequest, bo
 		span.SetAttr("key", key)
 		defer span.End()
 	}
-	line, b, err := dispatch(g, ctx, key, func(ctx context.Context, b *backend) (rawLine, error) {
-		return g.sendJob(ctx, b, body)
+	rl, b, err := dispatch(g, ctx, key, func(ctx context.Context, b *backend) (rawLine, error) {
+		return g.sendJob(ctx, b, body, reqID)
 	})
 	switch {
 	case err == nil:
 		if span != nil {
 			span.SetAttr("backend", b.url)
 		}
+		return &rl, false
 	case ctx.Err() != nil:
-		// The client is gone; nobody reads this line.
-		return nil
-	default:
-		// Every replica for this key is down or exhausted its retry
-		// budget: run the job on the embedded session instead of
-		// failing the batch.
-		g.met.fallbackLocal.Add(1)
+		return nil, false
+	}
+	// Every replica for this key is down or exhausted its retry budget:
+	// run the job on the embedded session instead of failing it.
+	g.met.fallbackLocal.Add(1)
+	if span != nil {
+		span.SetAttr("fallback", "local")
+	}
+	g.log.Warn("gateway: local fallback", "index", idx, "key", key, "err", err)
+	rl, err = toRawLine(g.local.ExecuteJob(ctx, jr))
+	if err != nil {
+		rl = rawLine{Kind: jr.Kind, Error: fmt.Sprintf("gateway: encode local result: %v", err)}
+	}
+	return &rl, true
+}
+
+// front wraps a POST endpoint with what every gateway request shares: a
+// root span carrying the inbound X-Request-Id, per-endpoint metrics, and
+// the bounded body read. h answers the request and returns its status.
+func (g *Gateway) front(name string, h func(http.ResponseWriter, *http.Request, []byte) int) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		start := time.Now()
+		ctx := r.Context()
+		if g.rec != nil {
+			ctx = obs.WithRecorder(ctx, g.rec)
+		}
+		ctx, span := obs.StartSpan(ctx, "gateway-"+name)
+		if id := r.Header.Get("X-Request-Id"); id != "" && span != nil {
+			span.SetAttr("request_id", id)
+		}
+		var code int
+		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, g.cfg.MaxRequestBytes))
+		if err != nil {
+			code = http.StatusBadRequest
+			if errors.As(err, new(*http.MaxBytesError)) {
+				code = http.StatusRequestEntityTooLarge
+			}
+			g.writeError(w, code, "read request body: %v", err)
+		} else {
+			code = h(w, r.WithContext(ctx), body)
+		}
 		if span != nil {
-			span.SetAttr("fallback", "local")
+			span.SetAttr("code", code)
+			span.End()
 		}
-		g.log.Warn("gateway: local fallback", "index", idx, "key", key, "err", err)
-		res := g.local.ExecuteJob(ctx, jr)
-		var lerr error
-		if line, lerr = toRawLine(res); lerr != nil {
-			line = rawLine{Kind: jr.Kind, Error: fmt.Sprintf("gateway: encode local result: %v", lerr)}
-		}
+		g.met.observe(name, code, time.Since(start))
 	}
-	line.Index = idx
-	out, merr := json.Marshal(line)
-	if merr != nil {
-		out = []byte(fmt.Sprintf(`{"index":%d,"kind":%q,"error":"gateway: encode result line"}`, idx, jr.Kind))
-	}
-	return append(out, '\n')
 }
 
 // handleJobs is the gateway's POST /v2/jobs: the batch is validated up
@@ -595,56 +643,24 @@ func (g *Gateway) runJob(ctx context.Context, idx int, jr service.JobRequest, bo
 // single-node daemon), then every job dispatches independently across
 // the fleet and lines stream back in submission order — line i flushes
 // as soon as jobs 0..i are done, wherever each one ran.
-func (g *Gateway) handleJobs(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	ctx := r.Context()
-	if g.rec != nil {
-		ctx = obs.WithRecorder(ctx, g.rec)
-	}
-	ctx, span := obs.StartSpan(ctx, "gateway-jobs")
-	code := http.StatusOK
-	defer func() {
-		if span != nil {
-			span.SetAttr("code", code)
-			span.End()
-		}
-		g.met.observe("jobs", code, time.Since(start))
-	}()
-
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, g.cfg.MaxRequestBytes))
-	if err != nil {
-		code = http.StatusBadRequest
-		if errors.As(err, new(*http.MaxBytesError)) {
-			code = http.StatusRequestEntityTooLarge
-		}
-		g.writeError(w, code, "read request body: %v", err)
-		return
-	}
+func (g *Gateway) handleJobs(w http.ResponseWriter, r *http.Request, body []byte) int {
 	var req service.JobsRequest
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		code = http.StatusBadRequest
-		g.writeError(w, code, "bad request body: %v", err)
-		return
+		return g.writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 	}
 	if len(req.Jobs) == 0 {
-		code = http.StatusBadRequest
-		g.writeError(w, code, "at least one job is required")
-		return
+		return g.writeError(w, http.StatusBadRequest, "at least one job is required")
 	}
 	if len(req.Jobs) > g.cfg.MaxJobs {
-		code = http.StatusBadRequest
-		g.writeError(w, code, "batch of %d jobs exceeds the %d-job limit", len(req.Jobs), g.cfg.MaxJobs)
-		return
+		return g.writeError(w, http.StatusBadRequest, "batch of %d jobs exceeds the %d-job limit", len(req.Jobs), g.cfg.MaxJobs)
 	}
 	// Whole-batch validation before the first response byte, exactly
 	// like a single-node daemon: an invalid job rejects the batch.
 	for i, jr := range req.Jobs {
 		if err := g.local.ValidateJob(jr); err != nil {
-			code = http.StatusBadRequest
-			g.writeError(w, code, "jobs[%d]: %s", i, err.Error())
-			return
+			return g.writeError(w, http.StatusBadRequest, "jobs[%d]: %v", i, err)
 		}
 	}
 
@@ -652,11 +668,9 @@ func (g *Gateway) handleJobs(w http.ResponseWriter, r *http.Request) {
 	// reuse the bytes.
 	bodies := make([][]byte, len(req.Jobs))
 	for i, jr := range req.Jobs {
-		bb, err := json.Marshal(service.JobsRequest{Jobs: []service.JobRequest{jr}})
+		bb, err := oneJobBody(jr)
 		if err != nil {
-			code = http.StatusBadRequest
-			g.writeError(w, code, "jobs[%d]: encode: %v", i, err)
-			return
+			return g.writeError(w, http.StatusBadRequest, "jobs[%d]: encode: %v", i, err)
 		}
 		bodies[i] = bb
 	}
@@ -670,8 +684,9 @@ func (g *Gateway) handleJobs(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
 
-	jctx, cancel := context.WithCancel(ctx)
+	jctx, cancel := context.WithCancel(r.Context())
 	defer cancel()
+	reqID := r.Header.Get("X-Request-Id")
 	n := len(req.Jobs)
 	results := make([][]byte, n)
 	readyCh := make(chan int, n)
@@ -680,7 +695,9 @@ func (g *Gateway) handleJobs(w http.ResponseWriter, r *http.Request) {
 		go func(i int) {
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			results[i] = g.runJob(jctx, i, req.Jobs[i], bodies[i])
+			if line, _ := g.runJob(jctx, i, req.Jobs[i], bodies[i], reqID); line != nil {
+				results[i] = line.frame(i)
+			}
 			readyCh <- i
 		}(i)
 	}
@@ -693,10 +710,10 @@ func (g *Gateway) handleJobs(w http.ResponseWriter, r *http.Request) {
 		for next < n && ready[next] {
 			if results[next] == nil {
 				// The client went away mid-batch; stop delivering.
-				return
+				return http.StatusOK
 			}
 			if _, err := w.Write(results[next]); err != nil {
-				return
+				return http.StatusOK
 			}
 			if flusher != nil {
 				flusher.Flush()
@@ -704,197 +721,63 @@ func (g *Gateway) handleJobs(w http.ResponseWriter, r *http.Request) {
 			next++
 		}
 	}
+	return http.StatusOK
 }
 
-// --- /v1 proxying ---
-
-// memResponse buffers a locally served HTTP response so /v1 fallback
-// answers carry exactly the bytes a single-node daemon would send.
-type memResponse struct {
-	header http.Header
-	code   int
-	body   bytes.Buffer
+// oneJobBody encodes jr as the single-job /v2 batch sent to backends.
+func oneJobBody(jr service.JobRequest) ([]byte, error) {
+	return json.Marshal(service.JobsRequest{Jobs: []service.JobRequest{jr}})
 }
 
-func newMemResponse() *memResponse {
-	return &memResponse{header: http.Header{}, code: http.StatusOK}
-}
+// --- /v1 ---
 
-func (m *memResponse) Header() http.Header         { return m.header }
-func (m *memResponse) WriteHeader(code int)        { m.code = code }
-func (m *memResponse) Write(p []byte) (int, error) { return m.body.Write(p) }
-
-// proxyResp is a buffered backend response.
-type proxyResp struct {
-	code        int
-	contentType string
-	body        []byte
-}
-
-// sendProxy forwards body to one backend path and buffers the answer.
-// 5xx and 429 statuses are errors (another replica may do better);
-// other statuses — including 4xx, which every replica would answer
-// identically — are final.
-func (g *Gateway) sendProxy(ctx context.Context, b *backend, path string, body []byte) (proxyResp, error) {
-	ctx, cancel := context.WithTimeout(ctx, g.cfg.RequestTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, b.url+path, bytes.NewReader(body))
-	if err != nil {
-		return proxyResp{}, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	res, err := g.hc.Do(req)
-	if err != nil {
-		return proxyResp{}, err
-	}
-	defer res.Body.Close()
-	if res.StatusCode >= 500 || res.StatusCode == http.StatusTooManyRequests {
-		io.Copy(io.Discard, io.LimitReader(res.Body, 4096))
-		return proxyResp{}, fmt.Errorf("gateway: backend %s: status %d", b.url, res.StatusCode)
-	}
-	data, err := g.readBody(res.Body)
-	if err != nil {
-		return proxyResp{}, err
-	}
-	return proxyResp{code: res.StatusCode, contentType: res.Header.Get("Content-Type"), body: data}, nil
-}
-
-// proxyHandler builds a /v1 endpoint: route by source, forward with the
-// recovery ladder, and fall back to serving the request on the embedded
-// service — whose handlers produce byte-identical responses — when the
-// fleet cannot answer.
-func (g *Gateway) proxyHandler(endpoint, path string) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		ctx := r.Context()
-		if g.rec != nil {
-			ctx = obs.WithRecorder(ctx, g.rec)
-		}
-		ctx, span := obs.StartSpan(ctx, "gateway-"+endpoint)
-		code := http.StatusOK
-		defer func() {
-			if span != nil {
-				span.SetAttr("code", code)
-				span.End()
-			}
-			g.met.observe(endpoint, code, time.Since(start))
-		}()
-
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, g.cfg.MaxRequestBytes))
+// handleV1 serves the /v1 POST endpoint for kind as a one-job /v2
+// dispatch. The body decodes strictly into the kind's request and
+// validates through the embedded service, so a bad request answers the
+// single node's 400 here and never reaches a backend; the job then
+// resolves through runJob like any batch entry. A successful line
+// answers with its raw payload plus a newline, the exact bytes a single
+// node's /v1 endpoint writes; a failed line answers the single node's
+// 400 with the line's error.
+func (g *Gateway) handleV1(kind string) func(http.ResponseWriter, *http.Request, []byte) int {
+	return func(w http.ResponseWriter, r *http.Request, body []byte) int {
+		jr, err := service.DecodeV1(kind, bytes.NewReader(body))
 		if err != nil {
-			code = http.StatusBadRequest
-			if errors.As(err, new(*http.MaxBytesError)) {
-				code = http.StatusRequestEntityTooLarge
-			}
-			g.writeError(w, code, "read request body: %v", err)
-			return
+			return g.writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		}
-		// A loose decode for routing only; the backend (or the local
-		// service) does the strict validation.
-		var probe struct {
-			Workload string `json:"workload"`
-			Asm      string `json:"asm"`
-			Scale    int    `json:"scale"`
+		if err := g.local.ValidateJob(jr); err != nil {
+			return g.writeError(w, http.StatusBadRequest, "%v", err)
 		}
-		_ = json.Unmarshal(body, &probe)
-		key := routeKey(probe.Workload, probe.Asm, probe.Scale)
-		if span != nil {
-			span.SetAttr("key", key)
-		}
-
-		resp, b, err := dispatch(g, ctx, key, func(ctx context.Context, b *backend) (proxyResp, error) {
-			return g.sendProxy(ctx, b, path, body)
-		})
+		sub, err := oneJobBody(jr)
 		if err != nil {
-			if ctx.Err() != nil {
-				code = http.StatusServiceUnavailable
-				g.writeError(w, code, "request cancelled: %v", ctx.Err())
-				return
-			}
-			// Degraded mode: serve the original request on the embedded
-			// service for byte-identical single-node semantics.
-			g.met.fallbackLocal.Add(1)
-			if span != nil {
-				span.SetAttr("fallback", "local")
-			}
-			g.log.Warn("gateway: local fallback", "endpoint", endpoint, "key", key, "err", err)
-			lr := r.Clone(ctx)
-			lr.Body = io.NopCloser(bytes.NewReader(body))
-			lr.ContentLength = int64(len(body))
-			mem := newMemResponse()
-			g.local.ServeHTTP(mem, lr)
-			resp = proxyResp{code: mem.code, contentType: mem.header.Get("Content-Type"), body: mem.body.Bytes()}
+			return g.writeError(w, http.StatusBadRequest, "encode: %v", err)
+		}
+		line, local := g.runJob(r.Context(), 0, jr, sub, r.Header.Get("X-Request-Id"))
+		if err := r.Context().Err(); err != nil {
+			return g.writeError(w, http.StatusServiceUnavailable, "request cancelled: %v", err)
+		}
+		if local {
 			w.Header().Set(DegradedHeader, "local")
-		} else if span != nil {
-			span.SetAttr("backend", b.url)
 		}
-		code = resp.code
-		if resp.contentType != "" {
-			w.Header().Set("Content-Type", resp.contentType)
+		if line.Error != "" {
+			return g.writeError(w, http.StatusBadRequest, "%s", line.Error)
 		}
-		w.WriteHeader(resp.code)
-		w.Write(resp.body)
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusOK)
+		w.Write(append(line.payload(), '\n'))
+		return http.StatusOK
 	}
-}
-
-// handleWorkloads proxies the static workload list (any replica agrees)
-// with local fallback.
-func (g *Gateway) handleWorkloads(w http.ResponseWriter, r *http.Request) {
-	ctx := r.Context()
-	for _, idx := range g.ring.ordered("workloads") {
-		b := g.backends[idx]
-		if !b.healthy.Load() {
-			continue
-		}
-		resp, err := g.sendProxyGet(ctx, b, "/v1/workloads")
-		if err == nil {
-			w.Header().Set("Content-Type", resp.contentType)
-			w.WriteHeader(resp.code)
-			w.Write(resp.body)
-			return
-		}
-	}
-	lr := r.Clone(ctx)
-	mem := newMemResponse()
-	g.local.ServeHTTP(mem, lr)
-	w.Header().Set(DegradedHeader, "local")
-	if ct := mem.header.Get("Content-Type"); ct != "" {
-		w.Header().Set("Content-Type", ct)
-	}
-	w.WriteHeader(mem.code)
-	w.Write(mem.body.Bytes())
-}
-
-// sendProxyGet is sendProxy for GET endpoints.
-func (g *Gateway) sendProxyGet(ctx context.Context, b *backend, path string) (proxyResp, error) {
-	ctx, cancel := context.WithTimeout(ctx, g.cfg.RequestTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.url+path, nil)
-	if err != nil {
-		return proxyResp{}, err
-	}
-	res, err := g.hc.Do(req)
-	if err != nil {
-		return proxyResp{}, err
-	}
-	defer res.Body.Close()
-	if res.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, io.LimitReader(res.Body, 4096))
-		return proxyResp{}, fmt.Errorf("gateway: backend %s: status %d", b.url, res.StatusCode)
-	}
-	data, err := g.readBody(res.Body)
-	if err != nil {
-		return proxyResp{}, err
-	}
-	return proxyResp{code: res.StatusCode, contentType: res.Header.Get("Content-Type"), body: data}, nil
 }
 
 // --- helpers ---
 
-func (g *Gateway) writeError(w http.ResponseWriter, code int, format string, args ...any) {
+// writeError answers a JSON error body, the same bytes a single node
+// writes, and returns code.
+func (g *Gateway) writeError(w http.ResponseWriter, code int, format string, args ...any) int {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	_ = json.NewEncoder(w).Encode(service.Error{Message: fmt.Sprintf(format, args...)})
+	return code
 }
 
 // handleTraceRecent mirrors the backend endpoint for the gateway's own

@@ -3,6 +3,7 @@ package gateway_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -10,6 +11,7 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -38,9 +40,22 @@ func fastConfig(backends []string, local *service.Server) gateway.Config {
 
 func post(t *testing.T, url, body string) (int, http.Header, []byte) {
 	t.Helper()
-	res, err := http.Post(url, "application/json", strings.NewReader(body))
+	return call(t, http.MethodPost, url, body)
+}
+
+// call sends one request and returns its status, headers and body.
+func call(t *testing.T, method, url, body string) (int, http.Header, []byte) {
+	t.Helper()
+	req, err := http.NewRequest(method, url, strings.NewReader(body))
 	if err != nil {
-		t.Fatalf("POST %s: %v", url, err)
+		t.Fatal(err)
+	}
+	if method == http.MethodPost {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	res, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatalf("%s %s: %v", method, url, err)
 	}
 	defer res.Body.Close()
 	b, err := io.ReadAll(res.Body)
@@ -147,45 +162,177 @@ func TestGatewayBatchMatchesSingleNode(t *testing.T) {
 	}
 }
 
-// TestGatewayProxyV1MatchesSingleNode covers the /v1 passthrough and
-// its local fallback: both healthy and fleet-down answers must be
-// byte-identical to a single-node daemon's.
+// TestGatewayProxyV1MatchesSingleNode: every /v1 endpoint answers
+// through the gateway exactly what a single node answers — status,
+// Content-Type and body, byte for byte — for good and bad requests,
+// first with a healthy backend and again with every backend down. Only
+// requests that run a job carry the degraded marker, and only with the
+// fleet down: bad requests fail validation at the gateway itself, and
+// the workload catalogue is always the gateway's own.
 func TestGatewayProxyV1MatchesSingleNode(t *testing.T) {
-	req := `{"workload":"compress","max_insts":50000}`
+	type v1case struct {
+		name, method, path, body string
+		runs                     bool // executes a job, on a backend or locally
+	}
+	cases := []v1case{
+		{"simulate", http.MethodPost, "/v1/simulate", `{"workload":"compress","max_insts":50000}`, true},
+		{"annotate", http.MethodPost, "/v1/annotate", `{"workload":"li"}`, true},
+		{"ctxswitch", http.MethodPost, "/v1/ctxswitch", `{"workload":"li","interval":97,"max_insts":50000}`, true},
+		{"workloads", http.MethodGet, "/v1/workloads", "", false},
+	}
+	for _, kind := range []string{"simulate", "annotate", "ctxswitch"} {
+		for _, bad := range []struct{ name, body string }{
+			{"malformed json", `{`},
+			{"unknown field", `{"workload":"li","turbo":true}`},
+			{"unknown workload", `{"workload":"spice"}`},
+			{"both sources", `{"workload":"li","asm":".proc main\n"}`},
+		} {
+			cases = append(cases, v1case{kind + " " + bad.name, http.MethodPost, "/v1/" + kind, bad.body, false})
+		}
+	}
+
 	sn := httptest.NewServer(service.New(service.Config{}))
 	defer sn.Close()
-	_, _, want := post(t, sn.URL+"/v1/simulate", req)
-
 	backend := httptest.NewServer(service.New(service.Config{}))
-	local := service.New(service.Config{})
-	gw, err := gateway.New(fastConfig([]string{backend.URL}, local))
+	gw, err := gateway.New(fastConfig([]string{backend.URL}, service.New(service.Config{})))
 	if err != nil {
 		t.Fatal(err)
 	}
 	gts := httptest.NewServer(gw)
 	defer gts.Close()
 
-	code, hdr, got := post(t, gts.URL+"/v1/simulate", req)
-	if code != http.StatusOK || !bytes.Equal(got, want) {
-		t.Fatalf("proxied /v1: HTTP %d\ngot:  %s\nwant: %s", code, got, want)
+	check := func(t *testing.T, down bool) {
+		for _, c := range cases {
+			t.Run(c.name, func(t *testing.T) {
+				wantCode, wantHdr, want := call(t, c.method, sn.URL+c.path, c.body)
+				code, hdr, got := call(t, c.method, gts.URL+c.path, c.body)
+				if code != wantCode || !bytes.Equal(got, want) {
+					t.Fatalf("HTTP %d, want %d\ngot:  %.300s\nwant: %.300s", code, wantCode, got, want)
+				}
+				if ct, wantCT := hdr.Get("Content-Type"), wantHdr.Get("Content-Type"); ct != wantCT {
+					t.Fatalf("Content-Type %q, want %q", ct, wantCT)
+				}
+				wantDegraded := ""
+				if down && c.runs {
+					wantDegraded = "local"
+				}
+				if d := hdr.Get(gateway.DegradedHeader); d != wantDegraded {
+					t.Fatalf("degraded header %q, want %q", d, wantDegraded)
+				}
+			})
+		}
 	}
-	if hdr.Get(gateway.DegradedHeader) != "" {
-		t.Fatal("healthy proxy answered degraded")
+	t.Run("healthy", func(t *testing.T) { check(t, false) })
+	if n := gatewayMetric(t, gts, "dvid_gateway_fallback_local_total"); n != 0 {
+		t.Fatalf("healthy fleet fell back locally %v times", n)
 	}
 
-	// Kill the backend: the same request must fall back locally with
-	// identical bytes and the degraded marker.
+	// Kill the backend: every job must fall back locally with identical
+	// bytes and the degraded marker.
 	backend.Close()
 	gw.CheckNow(context.Background())
-	code, hdr, got = post(t, gts.URL+"/v1/simulate", req)
-	if code != http.StatusOK || !bytes.Equal(got, want) {
-		t.Fatalf("fallback /v1: HTTP %d\ngot:  %s\nwant: %s", code, got, want)
-	}
-	if hdr.Get(gateway.DegradedHeader) != "local" {
-		t.Fatalf("fallback missing degraded header, got %q", hdr.Get(gateway.DegradedHeader))
-	}
+	t.Run("down", func(t *testing.T) { check(t, true) })
 	if gatewayMetric(t, gts, "dvid_gateway_fallback_local_total") == 0 {
 		t.Fatal("local fallback not counted")
+	}
+}
+
+// TestGatewayRejectsPoisonAtTheDoor: a negative machine field, which
+// would crash a simulator, answers the single node's exact 400 at the
+// gateway on /v1 and /v2, and no backend ever receives it.
+func TestGatewayRejectsPoisonAtTheDoor(t *testing.T) {
+	var posts atomic.Int64
+	svc := service.New(service.Config{})
+	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost {
+			posts.Add(1)
+		}
+		svc.ServeHTTP(w, r)
+	}))
+	defer backend.Close()
+	sn := httptest.NewServer(service.New(service.Config{}))
+	defer sn.Close()
+	gw, err := gateway.New(fastConfig([]string{backend.URL}, service.New(service.Config{})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gts := httptest.NewServer(gw)
+	defer gts.Close()
+
+	for _, field := range []string{"window_size", "ifq_size", "stack_depth"} {
+		sim := fmt.Sprintf(`{"workload":"li","machine":{%q:-1}}`, field)
+		for _, c := range []struct{ path, body string }{
+			{"/v1/simulate", sim},
+			{"/v2/jobs", `{"jobs":[{"kind":"simulate","simulate":` + sim + `}]}`},
+		} {
+			wantCode, _, want := post(t, sn.URL+c.path, c.body)
+			if wantCode != http.StatusBadRequest || !strings.Contains(string(want), field) {
+				t.Fatalf("single node %s %s: HTTP %d: %s", c.path, field, wantCode, want)
+			}
+			code, _, got := post(t, gts.URL+c.path, c.body)
+			if code != wantCode || !bytes.Equal(got, want) {
+				t.Fatalf("gateway %s %s: HTTP %d: %s\nwant %d: %s", c.path, field, code, got, wantCode, want)
+			}
+		}
+	}
+	if n := posts.Load(); n != 0 {
+		t.Fatalf("backend received %d poison requests", n)
+	}
+	// The counter does count: a valid request reaches the backend.
+	if code, _, body := post(t, gts.URL+"/v1/simulate", `{"workload":"li","max_insts":20000}`); code != http.StatusOK {
+		t.Fatalf("valid request: HTTP %d: %s", code, body)
+	}
+	if n := posts.Load(); n != 1 {
+		t.Fatalf("backend counted %d requests after one valid request", n)
+	}
+}
+
+// TestGatewayForwardsRequestID: the inbound X-Request-Id lands on the
+// gateway's root span and travels to the backend, whose root span
+// carries the same ID.
+func TestGatewayForwardsRequestID(t *testing.T) {
+	backend := httptest.NewServer(service.New(service.Config{}))
+	defer backend.Close()
+	gw, err := gateway.New(fastConfig([]string{backend.URL}, service.New(service.Config{})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gts := httptest.NewServer(gw)
+	defer gts.Close()
+
+	const id = "fleet-trace-42"
+	req, err := http.NewRequest(http.MethodPost, gts.URL+"/v1/simulate",
+		strings.NewReader(`{"workload":"compress","max_insts":20000}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("X-Request-Id", id)
+	res, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, res.Body)
+	res.Body.Close()
+	if res.StatusCode != http.StatusOK {
+		t.Fatalf("HTTP %d", res.StatusCode)
+	}
+
+	for _, srv := range []struct{ name, url, root string }{
+		{"backend", backend.URL, "jobs"},
+		{"gateway", gts.URL, "gateway-simulate"},
+	} {
+		code, _, body := call(t, http.MethodGet, srv.url+"/debug/trace/recent", "")
+		if code != http.StatusOK {
+			t.Fatalf("%s trace: HTTP %d: %s", srv.name, code, body)
+		}
+		var recent service.TraceRecent
+		if err := json.Unmarshal(body, &recent); err != nil || len(recent.Traces) == 0 {
+			t.Fatalf("%s trace: %v: %s", srv.name, err, body)
+		}
+		root := recent.Traces[0]
+		if root.Name != srv.root || root.Attrs["request_id"] != id {
+			t.Fatalf("%s root span %q attrs %v, want %q with request_id %q", srv.name, root.Name, root.Attrs, srv.root, id)
+		}
 	}
 }
 
@@ -317,16 +464,21 @@ func TestGatewayHedgesSlowBackend(t *testing.T) {
 	}
 }
 
-// TestGatewayLargeResponseNotTruncated: a backend answer bigger than
-// the request-size limit must pass through intact, and one bigger than
-// the response budget must become a dispatch error — answered by the
-// local fallback, marked degraded — never a silently truncated 200.
+// TestGatewayLargeResponseNotTruncated: a backend result line bigger
+// than the request-size limit must pass through intact, and one bigger
+// than the response budget must become a dispatch error — answered by
+// the local fallback, marked degraded — never a silently truncated 200.
 func TestGatewayLargeResponseNotTruncated(t *testing.T) {
-	req := `{"workload":"compress","max_insts":30000}`
-	big := bytes.Repeat([]byte("x"), 64<<10)
+	req := `{"workload":"li"}`
+	// One valid annotate line whose payload dwarfs the request limit.
+	payload := `{"asm":"` + strings.Repeat("x", 64<<10) + `","inserted":0,"text_words":0}`
 	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(big)
+		if r.URL.Path != "/v2/jobs" {
+			http.NotFound(w, r)
+			return
+		}
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		io.WriteString(w, `{"index":0,"kind":"annotate","annotate":`+payload+"}\n")
 	}))
 	defer stub.Close()
 
@@ -339,12 +491,12 @@ func TestGatewayLargeResponseNotTruncated(t *testing.T) {
 	gts := httptest.NewServer(gw)
 	defer gts.Close()
 
-	code, hdr, got := post(t, gts.URL+"/v1/simulate", req)
-	if code != http.StatusOK || !bytes.Equal(got, big) {
-		t.Fatalf("large proxy answer: HTTP %d, %d bytes, want %d intact", code, len(got), len(big))
+	code, hdr, got := post(t, gts.URL+"/v1/annotate", req)
+	if code != http.StatusOK || string(got) != payload+"\n" {
+		t.Fatalf("large answer: HTTP %d, %d bytes, want %d intact", code, len(got), len(payload)+1)
 	}
 	if hdr.Get(gateway.DegradedHeader) != "" {
-		t.Fatal("healthy proxy answered degraded")
+		t.Fatal("healthy backend answered degraded")
 	}
 
 	// Same stub, but now its answer exceeds the response budget: the
@@ -352,7 +504,7 @@ func TestGatewayLargeResponseNotTruncated(t *testing.T) {
 	// serves the real, byte-identical response instead.
 	sn := httptest.NewServer(service.New(service.Config{}))
 	defer sn.Close()
-	_, _, want := post(t, sn.URL+"/v1/simulate", req)
+	_, _, want := post(t, sn.URL+"/v1/annotate", req)
 
 	cfg = fastConfig([]string{stub.URL}, service.New(service.Config{}))
 	cfg.MaxRequestBytes = 1024
@@ -364,7 +516,7 @@ func TestGatewayLargeResponseNotTruncated(t *testing.T) {
 	gts2 := httptest.NewServer(gw2)
 	defer gts2.Close()
 
-	code, hdr, got = post(t, gts2.URL+"/v1/simulate", req)
+	code, hdr, got = post(t, gts2.URL+"/v1/annotate", req)
 	if code != http.StatusOK || !bytes.Equal(got, want) {
 		t.Fatalf("over-budget answer: HTTP %d\ngot:  %.200s\nwant: %.200s", code, got, want)
 	}

@@ -74,29 +74,41 @@ type MachineOverrides struct {
 	WrongPathFetch *bool `json:"wrong_path_fetch,omitempty"`
 }
 
-// apply overlays non-zero overrides onto cfg.
-func (m *MachineOverrides) apply(cfg *ooo.Config) {
+// apply overlays non-zero overrides onto cfg. A negative field is
+// rejected by its wire name: zero keeps the default, and no machine
+// dimension, latency or depth is negative. Upper bounds are the
+// machine's own to check.
+func (m *MachineOverrides) apply(cfg *ooo.Config) error {
 	if m == nil {
-		return
+		return nil
 	}
-	set := func(dst *int, v int) {
-		if v != 0 {
-			*dst = v
+	for _, f := range []struct {
+		name string
+		v    int
+		dst  *int
+	}{
+		{"issue_width", m.IssueWidth, &cfg.IssueWidth},
+		{"window_size", m.WindowSize, &cfg.WindowSize},
+		{"ifq_size", m.IFQSize, &cfg.IFQSize},
+		{"phys_regs", m.PhysRegs, &cfg.PhysRegs},
+		{"int_alus", m.IntALUs, &cfg.IntALUs},
+		{"int_muldiv", m.IntMulDiv, &cfg.IntMulDiv},
+		{"cache_ports", m.CachePorts, &cfg.CachePorts},
+		{"mul_latency", m.MulLatency, &cfg.MulLatency},
+		{"div_latency", m.DivLatency, &cfg.DivLatency},
+		{"stack_depth", m.StackDepth, &cfg.Emu.DVI.StackDepth},
+	} {
+		switch {
+		case f.v < 0:
+			return fmt.Errorf("machine.%s must not be negative (got %d)", f.name, f.v)
+		case f.v > 0:
+			*f.dst = f.v
 		}
 	}
-	set(&cfg.IssueWidth, m.IssueWidth)
-	set(&cfg.WindowSize, m.WindowSize)
-	set(&cfg.IFQSize, m.IFQSize)
-	set(&cfg.PhysRegs, m.PhysRegs)
-	set(&cfg.IntALUs, m.IntALUs)
-	set(&cfg.IntMulDiv, m.IntMulDiv)
-	set(&cfg.CachePorts, m.CachePorts)
-	set(&cfg.MulLatency, m.MulLatency)
-	set(&cfg.DivLatency, m.DivLatency)
-	set(&cfg.Emu.DVI.StackDepth, m.StackDepth)
 	if m.WrongPathFetch != nil {
 		cfg.WrongPathFetch = *m.WrongPathFetch
 	}
+	return nil
 }
 
 // SimulateRequest asks for one run of the out-of-order timing simulator.
@@ -262,8 +274,10 @@ type CtxSwitchResponse struct {
 // JobRequest is one entry in a /v2/jobs batch. Kind selects the job type
 // ("simulate", "ctxswitch" or "annotate") and exactly the matching
 // payload field must be set; its semantics are identical to the
-// corresponding one-shot endpoint — the /v1 endpoints are in fact shims
-// that submit a one-job batch through the same path.
+// corresponding one-shot endpoint. A /v1 request is this type too: its
+// body decodes into the payload of a one-job entry (DecodeV1), which
+// then validates and runs on the same path as any /v2 job, on a single
+// node and through the gateway alike.
 type JobRequest struct {
 	Kind      string            `json:"kind"`
 	Simulate  *SimulateRequest  `json:"simulate,omitempty"`

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 	"sync"
@@ -24,35 +25,25 @@ import (
 )
 
 // This file is the service's single execution path. Every request —
-// the versioned /v2/jobs batch endpoint and the /v1 one-shot shims —
-// goes through the same three stages:
+// a /v2/jobs batch entry, a /v1 one-shot request, and the gateway's
+// local fallback (ExecuteJob) — goes through the same three stages:
 //
 //	prepare:  validate the wire request and freeze it into a preparedJob
 //	execute:  run it on the shared session (engine pool + build cache)
 //	render:   shape the runner result into the wire response
 //
-// The /v1 endpoints submit a one-job batch through exactly this path, so
-// their response bytes are pinned by construction to what /v2 produces
-// for the same job (service_test.go's golden test verifies both against
-// the library).
+// A /v1 request is a one-job batch: its body decodes into the payload
+// of a JobRequest (DecodeV1), prepares like any batch entry, and runs
+// through run, the one function that executes a preparedJob on its own.
+// Its answer is the payload of the line /v2 would stream, so the two
+// versions cannot drift (service_test.go's golden test verifies both
+// against the library). Every validation or execution failure is a
+// client error: a 400 on /v1 and on batch validation, an error field on
+// a /v2 line.
 
 // errDeliveryClosed cancels the engine batch when the /v2/jobs delivery
 // loop has stopped consuming (the response stream broke).
 var errDeliveryClosed = errors.New("service: /v2/jobs delivery closed")
-
-// httpError is a wire-facing failure: an HTTP status plus the exact
-// message the JSON error body carries.
-type httpError struct {
-	code int
-	msg  string
-}
-
-func (e *httpError) Error() string { return e.msg }
-
-// errf builds an httpError with a formatted message.
-func errf(code int, format string, args ...any) *httpError {
-	return &httpError{code: code, msg: fmt.Sprintf(format, args...)}
-}
 
 // preparedJob is one validated, ready-to-run unit of work. Engine-backed
 // kinds (exact simulate, ctxswitch) carry a runner job plus a render
@@ -66,14 +57,14 @@ type preparedJob struct {
 	kind   string
 	job    runner.Job
 	render func(runner.Result, *JobResult)
-	inline func(context.Context, *JobResult) *httpError
+	inline func(context.Context, *JobResult) error
 }
 
 // engineBacked reports whether the job executes on the session's engine.
 func (pj *preparedJob) engineBacked() bool { return pj.inline == nil }
 
 // prepareJob validates one /v2 batch entry.
-func (s *Server) prepareJob(jr JobRequest) (*preparedJob, *httpError) {
+func (s *Server) prepareJob(jr JobRequest) (*preparedJob, error) {
 	payloads := 0
 	for _, set := range []bool{jr.Simulate != nil, jr.CtxSwitch != nil, jr.Annotate != nil} {
 		if set {
@@ -81,28 +72,26 @@ func (s *Server) prepareJob(jr JobRequest) (*preparedJob, *httpError) {
 		}
 	}
 	if payloads != 1 {
-		return nil, errf(http.StatusBadRequest,
-			"exactly one of simulate, ctxswitch or annotate must be set (got %d)", payloads)
+		return nil, fmt.Errorf("exactly one of simulate, ctxswitch or annotate must be set (got %d)", payloads)
 	}
 	switch jr.Kind {
 	case "simulate":
 		if jr.Simulate == nil {
-			return nil, errf(http.StatusBadRequest, "kind %q needs a simulate payload", jr.Kind)
+			return nil, fmt.Errorf("kind %q needs a simulate payload", jr.Kind)
 		}
 		return s.prepareSimulate(jr.Simulate)
 	case "ctxswitch":
 		if jr.CtxSwitch == nil {
-			return nil, errf(http.StatusBadRequest, "kind %q needs a ctxswitch payload", jr.Kind)
+			return nil, fmt.Errorf("kind %q needs a ctxswitch payload", jr.Kind)
 		}
 		return s.prepareCtxSwitch(jr.CtxSwitch)
 	case "annotate":
 		if jr.Annotate == nil {
-			return nil, errf(http.StatusBadRequest, "kind %q needs an annotate payload", jr.Kind)
+			return nil, fmt.Errorf("kind %q needs an annotate payload", jr.Kind)
 		}
 		return s.prepareAnnotate(jr.Annotate)
 	}
-	return nil, errf(http.StatusBadRequest,
-		"unknown job kind %q (want simulate, ctxswitch or annotate)", jr.Kind)
+	return nil, fmt.Errorf("unknown job kind %q (want simulate, ctxswitch or annotate)", jr.Kind)
 }
 
 // simSource is the validated (source, flavour, emulator-config) triple
@@ -124,22 +113,22 @@ type simSource struct {
 // interprocedural inference pass; it needs no compiler hints, so it
 // applies to submitted assembly too — and like E-DVI it is effective
 // only when the hardware honours explicit annotations (level full).
-func (s *Server) resolveSimSource(wl, asm string, reqScale int, dviLevel, scheme, policy string, edvi *bool, infer bool) (simSource, *httpError) {
+func (s *Server) resolveSimSource(wl, asm string, reqScale int, dviLevel, scheme, policy string, edvi *bool, infer bool) (simSource, error) {
 	spec, scale, err := s.resolveSource(wl, asm, reqScale)
 	if err != nil {
-		return simSource{}, errf(http.StatusBadRequest, "%v", err)
+		return simSource{}, err
 	}
 	level, err := parseLevel(dviLevel)
 	if err != nil {
-		return simSource{}, errf(http.StatusBadRequest, "%v", err)
+		return simSource{}, err
 	}
 	sch, err := parseScheme(scheme)
 	if err != nil {
-		return simSource{}, errf(http.StatusBadRequest, "%v", err)
+		return simSource{}, err
 	}
 	pol, err := parsePolicy(policy)
 	if err != nil {
-		return simSource{}, errf(http.StatusBadRequest, "%v", err)
+		return simSource{}, err
 	}
 	bopt := session.BuildOptionsFor(level)
 	bopt.Policy = pol
@@ -180,42 +169,41 @@ func renderTrace(buf *obs.PipeBuffer, format string) (*TraceSummary, error) {
 
 // prepareSimulate validates a timing-simulation request and freezes it
 // into an engine job.
-func (s *Server) prepareSimulate(req *SimulateRequest) (*preparedJob, *httpError) {
-	src, herr := s.resolveSimSource(req.Workload, req.Asm, req.Scale, req.DVILevel, req.Scheme, req.Policy, req.EDVI, req.Infer)
-	if herr != nil {
-		return nil, herr
+func (s *Server) prepareSimulate(req *SimulateRequest) (*preparedJob, error) {
+	src, err := s.resolveSimSource(req.Workload, req.Asm, req.Scale, req.DVILevel, req.Scheme, req.Policy, req.EDVI, req.Infer)
+	if err != nil {
+		return nil, err
 	}
 	spec, scale, bopt := src.spec, src.scale, src.bopt
 
 	cfg := ooo.DefaultConfig()
 	cfg.Emu = src.ecfg
-	req.Machine.apply(&cfg)
+	if err := req.Machine.apply(&cfg); err != nil {
+		return nil, err
+	}
 	cfg.MaxInsts = s.clampInsts(req.MaxInsts)
 
 	if req.Contexts > s.cfg.MaxContexts {
-		return nil, errf(http.StatusBadRequest,
-			"contexts %d exceeds the %d-context limit", req.Contexts, s.cfg.MaxContexts)
+		return nil, fmt.Errorf("contexts %d exceeds the %d-context limit", req.Contexts, s.cfg.MaxContexts)
 	}
 	fp, err := parseFetchPolicy(req.FetchPolicy)
 	if err != nil {
-		return nil, errf(http.StatusBadRequest, "%v", err)
+		return nil, err
 	}
 	cfg.Contexts = req.Contexts
 	cfg.FetchPolicy = fp
 	if err := cfg.CheckContexts(); err != nil {
-		return nil, errf(http.StatusBadRequest, "%v", err)
+		return nil, err
 	}
 	if cfg.ContextCount() > 1 && req.Sampling != nil {
-		return nil, errf(http.StatusBadRequest,
-			"sampling is single-context (contexts=%d): checkpoints restore one architectural state", req.Contexts)
+		return nil, fmt.Errorf("sampling is single-context (contexts=%d): checkpoints restore one architectural state", req.Contexts)
 	}
 
 	var traceBuf *obs.PipeBuffer
 	traceFormat := ""
 	if req.Trace != nil {
 		if req.Sampling != nil {
-			return nil, errf(http.StatusBadRequest,
-				"trace and sampling are mutually exclusive: a sampled estimate has no contiguous pipeline to trace")
+			return nil, errors.New("trace and sampling are mutually exclusive: a sampled estimate has no contiguous pipeline to trace")
 		}
 		switch req.Trace.Format {
 		case "", "chrome":
@@ -223,8 +211,7 @@ func (s *Server) prepareSimulate(req *SimulateRequest) (*preparedJob, *httpError
 		case "konata":
 			traceFormat = "konata"
 		default:
-			return nil, errf(http.StatusBadRequest,
-				"unknown trace format %q (want chrome or konata)", req.Trace.Format)
+			return nil, fmt.Errorf("unknown trace format %q (want chrome or konata)", req.Trace.Format)
 		}
 		limit := req.Trace.MaxRecords
 		if limit <= 0 {
@@ -254,10 +241,10 @@ func (s *Server) prepareSimulate(req *SimulateRequest) (*preparedJob, *httpError
 		}
 		return &preparedJob{
 			kind: "simulate",
-			inline: func(ctx context.Context, line *JobResult) *httpError {
+			inline: func(ctx context.Context, line *JobResult) error {
 				out, err := s.sess.CollectSampled(ctx, []runner.Job{job}, so)
 				if err != nil {
-					return errf(http.StatusBadRequest, "%v", err)
+					return err
 				}
 				res, est := out[0], out[0].Sampled
 				s.met.observeSim(res.Timing)
@@ -319,10 +306,10 @@ func (s *Server) prepareSimulate(req *SimulateRequest) (*preparedJob, *httpError
 }
 
 // prepareCtxSwitch validates a context-switch sampling request.
-func (s *Server) prepareCtxSwitch(req *CtxSwitchRequest) (*preparedJob, *httpError) {
-	src, herr := s.resolveSimSource(req.Workload, req.Asm, req.Scale, req.DVILevel, req.Scheme, req.Policy, req.EDVI, req.Infer)
-	if herr != nil {
-		return nil, herr
+func (s *Server) prepareCtxSwitch(req *CtxSwitchRequest) (*preparedJob, error) {
+	src, err := s.resolveSimSource(req.Workload, req.Asm, req.Scale, req.DVILevel, req.Scheme, req.Policy, req.EDVI, req.Infer)
+	if err != nil {
+		return nil, err
 	}
 	spec, scale, bopt, ecfg := src.spec, src.scale, src.bopt, src.ecfg
 
@@ -355,10 +342,10 @@ func (s *Server) prepareCtxSwitch(req *CtxSwitchRequest) (*preparedJob, *httpErr
 // a thunk. The rewriter mutates its program, so the thunk always works on
 // a fresh private build (never the shared cache) and runs inline at its
 // slot in the result stream — it is compile-bound, not simulation-bound.
-func (s *Server) prepareAnnotate(req *AnnotateRequest) (*preparedJob, *httpError) {
+func (s *Server) prepareAnnotate(req *AnnotateRequest) (*preparedJob, error) {
 	policy, err := parsePolicy(req.Policy)
 	if err != nil {
-		return nil, errf(http.StatusBadRequest, "%v", err)
+		return nil, err
 	}
 	noPrune := req.NoPrune
 	var infer bool
@@ -367,24 +354,23 @@ func (s *Server) prepareAnnotate(req *AnnotateRequest) (*preparedJob, *httpError
 	case "infer":
 		infer = true
 	default:
-		return nil, errf(http.StatusBadRequest,
-			"unknown mode %q (want rewrite or infer)", req.Mode)
+		return nil, fmt.Errorf("unknown mode %q (want rewrite or infer)", req.Mode)
 	}
 
 	// finish runs the selected annotation engine over a private program
 	// and shapes the response; shared by both sources.
-	finish := func(pr *prog.Program) (*AnnotateResponse, *httpError) {
+	finish := func(pr *prog.Program) (*AnnotateResponse, error) {
 		annotate := rewrite.InsertKills
 		if infer {
 			annotate = rewrite.Infer
 		}
 		inserted, err := annotate(pr, rewrite.Options{Policy: policy, NoPrune: noPrune})
 		if err != nil {
-			return nil, errf(http.StatusBadRequest, "rewrite: %v", err)
+			return nil, fmt.Errorf("rewrite: %v", err)
 		}
 		img, err := pr.Link()
 		if err != nil {
-			return nil, errf(http.StatusBadRequest, "link: %v", err)
+			return nil, fmt.Errorf("link: %v", err)
 		}
 		var perProc []ProcKills
 		for _, p := range pr.Procs {
@@ -406,126 +392,120 @@ func (s *Server) prepareAnnotate(req *AnnotateRequest) (*preparedJob, *httpError
 		}, nil
 	}
 
-	var thunk func() (*AnnotateResponse, *httpError)
+	var thunk func() (*AnnotateResponse, error)
 	switch {
 	case req.Asm != "" && req.Workload != "":
-		return nil, errf(http.StatusBadRequest, "set either workload or asm, not both")
+		return nil, errors.New("set either workload or asm, not both")
 	case req.Asm != "":
 		asm := req.Asm
-		thunk = func() (*AnnotateResponse, *httpError) {
+		thunk = func() (*AnnotateResponse, error) {
 			pr, err := prog.ParseAsm(asm)
 			if err != nil {
-				return nil, errf(http.StatusBadRequest, "parse: %v", err)
+				return nil, fmt.Errorf("parse: %v", err)
 			}
 			return finish(pr)
 		}
 	case req.Workload != "":
-		spec, scale, rerr := s.resolveSource(req.Workload, "", req.Scale)
-		if rerr != nil {
-			return nil, errf(http.StatusBadRequest, "%v", rerr)
+		spec, scale, err := s.resolveSource(req.Workload, "", req.Scale)
+		if err != nil {
+			return nil, err
 		}
-		thunk = func() (*AnnotateResponse, *httpError) {
+		thunk = func() (*AnnotateResponse, error) {
 			// A fresh, un-annotated build — never the cache's: the rewriter
 			// mutates the program, and cached artifacts are shared read-only.
 			pr, _, err := s.compile(spec, scale, workload.BuildOptions{})
 			if err != nil {
-				return nil, errf(http.StatusInternalServerError, "build %s: %v", spec.Name, err)
+				return nil, fmt.Errorf("build %s: %v", spec.Name, err)
 			}
 			return finish(pr)
 		}
 	default:
-		return nil, errf(http.StatusBadRequest, "one of workload or asm is required")
+		return nil, errors.New("one of workload or asm is required")
 	}
-	return &preparedJob{kind: "annotate", inline: func(_ context.Context, line *JobResult) *httpError {
-		resp, herr := thunk()
-		if herr != nil {
-			return herr
-		}
+	return &preparedJob{kind: "annotate", inline: func(_ context.Context, line *JobResult) error {
+		resp, err := thunk()
 		line.Annotate = resp
-		return nil
+		return err
 	}}, nil
 }
 
-// executeOne runs a single prepared job through the shared session — the
-// /v1 shim path. Inline jobs (annotate, sampled simulate) run on the
-// calling goroutine; engine-backed jobs submit a one-job batch. The
-// returned error is either the job's failure (an *httpError for inline
-// jobs; otherwise wrapped with its label, for runError to map onto a
-// status) or the request context's cancellation.
-func (s *Server) executeOne(ctx context.Context, pj *preparedJob) (*JobResult, error) {
-	var (
-		line   JobResult
-		jobErr error
-	)
-	if !pj.engineBacked() {
-		line.Kind = pj.kind
-		if herr := pj.inline(ctx, &line); herr != nil {
-			return nil, herr
-		}
-		return &line, nil
+// DecodeV1 strictly decodes a /v1 one-shot body for kind ("simulate",
+// "ctxswitch" or "annotate") into the payload of the equivalent one-job
+// /v2 entry. Unknown fields are an error, as on every request body.
+func DecodeV1(kind string, body io.Reader) (JobRequest, error) {
+	jr := JobRequest{Kind: kind}
+	var dst any
+	switch kind {
+	case "simulate":
+		jr.Simulate = new(SimulateRequest)
+		dst = jr.Simulate
+	case "ctxswitch":
+		jr.CtxSwitch = new(CtxSwitchRequest)
+		dst = jr.CtxSwitch
+	case "annotate":
+		jr.Annotate = new(AnnotateRequest)
+		dst = jr.Annotate
+	default:
+		return jr, fmt.Errorf("unknown job kind %q", kind)
 	}
-	err := s.sess.Run(ctx, []runner.Job{pj.job}, func(res runner.Result) error {
-		if res.Err != nil {
-			jobErr = res.Err
-			return nil
-		}
-		line.Kind = pj.kind
-		_, rspan := obs.StartSpan(ctx, "render")
-		pj.render(res, &line)
-		rspan.End()
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if jobErr != nil {
-		return nil, jobErr
-	}
-	return &line, nil
+	return jr, readJSON(body, dst)
 }
 
-// ValidateJob runs one /v2 batch entry through the same prepare step
-// the daemon's own handlers use, without executing it. The gateway uses
-// it to validate whole batches up front with exactly the error messages
-// a single-node daemon would produce. A non-nil error always maps to a
-// 400-class rejection.
-func (s *Server) ValidateJob(jr JobRequest) error {
-	if _, herr := s.prepareJob(jr); herr != nil {
-		return herr
-	}
-	return nil
-}
-
-// ExecuteJob validates and runs one job on the local session, returning
-// the same line /v2/jobs would stream for it (Index is left zero; the
-// caller owns stream positions). Failures — validation or execution —
-// travel on the line's error field, mirroring /v2's per-job error
-// isolation. The gateway uses this for degraded-mode local fallback
-// when every backend for a key is down.
-func (s *Server) ExecuteJob(ctx context.Context, jr JobRequest) JobResult {
-	pj, herr := s.prepareJob(jr)
-	if herr != nil {
-		return JobResult{Kind: jr.Kind, Error: herr.msg}
-	}
+// run executes one prepared job on the shared session and returns its
+// result line (Index left zero; the caller owns stream positions).
+// Inline jobs run on the calling goroutine; engine-backed ones submit a
+// one-job batch. A failure — the job's own or the context's — travels
+// on the line's error field, mirroring /v2's per-job error isolation.
+func (s *Server) run(ctx context.Context, pj *preparedJob) JobResult {
 	line := JobResult{Kind: pj.kind}
 	if !pj.engineBacked() {
-		if herr := pj.inline(ctx, &line); herr != nil {
-			line.Error = herr.msg
+		if err := pj.inline(ctx, &line); err != nil {
+			line.Error = err.Error()
 		}
 		return line
 	}
 	err := s.sess.Run(ctx, []runner.Job{pj.job}, func(res runner.Result) error {
-		if res.Err != nil {
-			line.Error = res.Err.Error()
-			return nil
-		}
-		pj.render(res, &line)
+		pj.finish(ctx, res, &line)
 		return nil
 	})
 	if err != nil && line.Error == "" {
 		line.Error = err.Error()
 	}
 	return line
+}
+
+// finish fills an engine-backed job's line from its runner result.
+func (pj *preparedJob) finish(ctx context.Context, res runner.Result, line *JobResult) {
+	if res.Err != nil {
+		line.Error = res.Err.Error()
+		return
+	}
+	_, rspan := obs.StartSpan(ctx, "render")
+	pj.render(res, line)
+	rspan.End()
+}
+
+// ValidateJob runs one /v2 batch entry through the same prepare step
+// the daemon's own handlers use, without executing it. The gateway uses
+// it to validate requests up front with exactly the error messages a
+// single-node daemon would produce. A non-nil error always maps to a
+// 400.
+func (s *Server) ValidateJob(jr JobRequest) error {
+	_, err := s.prepareJob(jr)
+	return err
+}
+
+// ExecuteJob validates and runs one job on the local session, returning
+// the same line /v2/jobs would stream for it (Index is left zero).
+// Failures — validation or execution — travel on the line's error
+// field. The gateway uses this for degraded-mode local fallback when
+// every backend for a key is down.
+func (s *Server) ExecuteJob(ctx context.Context, jr JobRequest) JobResult {
+	pj, err := s.prepareJob(jr)
+	if err != nil {
+		return JobResult{Kind: jr.Kind, Error: err.Error()}
+	}
+	return s.run(ctx, pj)
 }
 
 // handleJobs is POST /v2/jobs: a heterogeneous job batch answered as an
@@ -538,7 +518,7 @@ func (s *Server) ExecuteJob(ctx context.Context, jr JobRequest) JobResult {
 // engine's worker pool, not the client's job count, bounds concurrency.
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	var req JobsRequest
-	if err := readJSON(r, &req); err != nil {
+	if err := readJSON(r.Body, &req); err != nil {
 		s.writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
@@ -553,9 +533,9 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	}
 	prepared := make([]*preparedJob, len(req.Jobs))
 	for i, jr := range req.Jobs {
-		pj, herr := s.prepareJob(jr)
-		if herr != nil {
-			s.writeError(w, herr.code, "jobs[%d]: %s", i, herr.msg)
+		pj, err := s.prepareJob(jr)
+		if err != nil {
+			s.writeError(w, http.StatusBadRequest, "jobs[%d]: %v", i, err)
 			return
 		}
 		prepared[i] = pj
@@ -613,7 +593,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	}()
 
 	for idx, pj := range prepared {
-		line := JobResult{Index: idx, Kind: pj.kind}
+		var line JobResult
 		if pj.engineBacked() {
 			res, ok := <-resCh
 			if !ok {
@@ -621,16 +601,12 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 				// the request context cancelled it. Nothing left to say.
 				break
 			}
-			if res.Err != nil {
-				line.Error = res.Err.Error()
-			} else {
-				_, rspan := obs.StartSpan(r.Context(), "render")
-				pj.render(res, &line)
-				rspan.End()
-			}
-		} else if herr := pj.inline(r.Context(), &line); herr != nil {
-			line.Error = herr.msg
+			line.Kind = pj.kind
+			pj.finish(r.Context(), res, &line)
+		} else {
+			line = s.run(r.Context(), pj)
 		}
+		line.Index = idx
 		if err := writeLine(line); err != nil {
 			// The stream broke mid-batch; the response cannot change
 			// status anymore. Stop consuming so the engine batch cancels.

@@ -18,9 +18,10 @@
 // clients share its single-flight build cache and pooled simulator
 // instances: concurrent identical requests coalesce into one compile.
 // The cache is LRU-bounded because clients submit arbitrary assembly.
-// The /v1 one-shot endpoints are thin shims that submit a one-job batch
-// through the same prepare/execute/render path as /v2/jobs (see jobs.go),
-// so both versions answer byte-identically for the same job. Admission
+// A /v1 one-shot request is a one-job /v2 batch: one handler per kind
+// decodes it into a JobRequest and runs it through the same
+// prepare/execute/render path as /v2/jobs (see jobs.go), so both
+// versions answer byte-identically for the same job. Admission
 // control bounds concurrent execution and queue depth (429 once the
 // queue is full). Queued requests honour their HTTP context — an
 // abandoned client frees its queue slot immediately — while a simulation
@@ -231,9 +232,9 @@ func New(cfg Config) *Server {
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v2/jobs", s.heavy("jobs", s.handleJobs))
-	mux.HandleFunc("POST /v1/annotate", s.heavy("annotate", s.handleAnnotate))
-	mux.HandleFunc("POST /v1/simulate", s.heavy("simulate", s.handleSimulate))
-	mux.HandleFunc("POST /v1/ctxswitch", s.heavy("ctxswitch", s.handleCtxSwitch))
+	for _, kind := range []string{"annotate", "simulate", "ctxswitch"} {
+		mux.HandleFunc("POST /v1/"+kind, s.heavy(kind, s.handleV1(kind)))
+	}
 	mux.HandleFunc("GET /v1/workloads", s.light("workloads", s.handleWorkloads))
 	mux.HandleFunc("GET /healthz", s.light("healthz", s.handleHealth))
 	mux.HandleFunc("GET /metrics", s.light("metrics", s.handleMetrics))
@@ -480,8 +481,8 @@ func (s *Server) writeError(w http.ResponseWriter, code int, format string, args
 
 // readJSON decodes a request body strictly: unknown fields are an error,
 // so client typos fail loudly instead of silently running defaults.
-func readJSON(r *http.Request, dst any) error {
-	dec := json.NewDecoder(r.Body)
+func readJSON(body io.Reader, dst any) error {
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	return dec.Decode(dst)
 }
@@ -569,68 +570,38 @@ func (s *Server) clampInsts(v uint64) uint64 {
 }
 
 // --- handlers ---
-//
-// The /v1 one-shot endpoints are shims: each validates through the same
-// prepare step and executes through the same session path as a /v2/jobs
-// batch entry of the corresponding kind, then unwraps the single result.
-// Their response bytes are pinned against the pre-shim wire format by
-// TestV1GoldenShims.
 
-func (s *Server) handleAnnotate(w http.ResponseWriter, r *http.Request) {
-	var req AnnotateRequest
-	if err := readJSON(r, &req); err != nil {
-		s.writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
+// handleV1 is the /v1 one-shot endpoint for kind: the body decodes into
+// a one-job /v2 entry, prepares and runs on the /v2 path, and answers
+// with the line's payload — or, for a failed line, its error as a 400
+// (503 once the client has gone). Response bytes are pinned against
+// the pre-shim wire format by TestV1GoldenShims.
+func (s *Server) handleV1(kind string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		jr, err := DecodeV1(kind, r.Body)
+		if err != nil {
+			s.writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+			return
+		}
+		pj, err := s.prepareJob(jr)
+		if err != nil {
+			s.writeError(w, http.StatusBadRequest, "%v", err)
+			return
+		}
+		line := s.run(r.Context(), pj)
+		switch {
+		case line.Error != "" && r.Context().Err() != nil:
+			s.writeError(w, http.StatusServiceUnavailable, "request cancelled: %s", line.Error)
+		case line.Error != "":
+			s.writeError(w, http.StatusBadRequest, "%s", line.Error)
+		case line.Simulate != nil:
+			s.writeJSON(w, http.StatusOK, line.Simulate)
+		case line.CtxSwitch != nil:
+			s.writeJSON(w, http.StatusOK, line.CtxSwitch)
+		default:
+			s.writeJSON(w, http.StatusOK, line.Annotate)
+		}
 	}
-	pj, herr := s.prepareAnnotate(&req)
-	if herr != nil {
-		s.writeError(w, herr.code, "%s", herr.msg)
-		return
-	}
-	var line JobResult
-	if herr := pj.inline(r.Context(), &line); herr != nil {
-		s.writeError(w, herr.code, "%s", herr.msg)
-		return
-	}
-	s.writeJSON(w, http.StatusOK, line.Annotate)
-}
-
-func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	var req SimulateRequest
-	if err := readJSON(r, &req); err != nil {
-		s.writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
-	}
-	pj, herr := s.prepareSimulate(&req)
-	if herr != nil {
-		s.writeError(w, herr.code, "%s", herr.msg)
-		return
-	}
-	line, err := s.executeOne(r.Context(), pj)
-	if err != nil {
-		s.runError(w, r, err)
-		return
-	}
-	s.writeJSON(w, http.StatusOK, line.Simulate)
-}
-
-func (s *Server) handleCtxSwitch(w http.ResponseWriter, r *http.Request) {
-	var req CtxSwitchRequest
-	if err := readJSON(r, &req); err != nil {
-		s.writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
-	}
-	pj, herr := s.prepareCtxSwitch(&req)
-	if herr != nil {
-		s.writeError(w, herr.code, "%s", herr.msg)
-		return
-	}
-	line, err := s.executeOne(r.Context(), pj)
-	if err != nil {
-		s.runError(w, r, err)
-		return
-	}
-	s.writeJSON(w, http.StatusOK, line.CtxSwitch)
 }
 
 func (s *Server) handleWorkloads(w http.ResponseWriter, r *http.Request) {
@@ -725,21 +696,4 @@ func (s *Server) handleTraceRecent(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.writeJSON(w, http.StatusOK, TraceRecent{Traces: s.rec.Recent()})
-}
-
-// runError maps an engine failure onto an HTTP status: client-abandoned
-// contexts get 503 (nobody is reading anyway), inline jobs carry their
-// own status, everything else is a bad build or run rooted in the
-// request (400).
-func (s *Server) runError(w http.ResponseWriter, r *http.Request, err error) {
-	if r.Context().Err() != nil {
-		s.writeError(w, http.StatusServiceUnavailable, "request cancelled: %v", err)
-		return
-	}
-	var herr *httpError
-	if errors.As(err, &herr) {
-		s.writeError(w, herr.code, "%s", herr.msg)
-		return
-	}
-	s.writeError(w, http.StatusBadRequest, "%v", err)
 }

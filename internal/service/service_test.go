@@ -470,20 +470,28 @@ func TestRequestValidation(t *testing.T) {
 	cases := []struct {
 		name, path, body string
 		want             int
+		msg              string // must appear in the error message
 	}{
-		{"unknown workload", "/v1/simulate", `{"workload":"spice"}`, 400},
-		{"both sources", "/v1/simulate", `{"workload":"li","asm":".proc main\n"}`, 400},
-		{"no source", "/v1/simulate", `{}`, 400},
-		{"unknown field", "/v1/simulate", `{"workload":"li","turbo":true}`, 400},
-		{"bad level", "/v1/simulate", `{"workload":"li","dvi_level":"max"}`, 400},
-		{"bad scheme", "/v1/simulate", `{"workload":"li","scheme":"magic"}`, 400},
-		{"bad policy", "/v1/annotate", `{"workload":"li","policy":"never"}`, 400},
-		{"bad json", "/v1/ctxswitch", `{`, 400},
-		{"negative contexts", "/v1/simulate", `{"workload":"li","contexts":-1}`, 400},
-		{"contexts over limit", "/v1/simulate", `{"workload":"li","contexts":9}`, 400},
-		{"bad fetch policy", "/v1/simulate", `{"workload":"li","contexts":2,"fetch_policy":"priority"}`, 400},
-		{"contexts regfile too small", "/v1/simulate", `{"workload":"li","contexts":4}`, 400},
-		{"contexts with sampling", "/v1/simulate", `{"workload":"li","contexts":2,"sampling":{}}`, 400},
+		{"unknown workload", "/v1/simulate", `{"workload":"spice"}`, 400, ""},
+		{"both sources", "/v1/simulate", `{"workload":"li","asm":".proc main\n"}`, 400, ""},
+		{"no source", "/v1/simulate", `{}`, 400, ""},
+		{"unknown field", "/v1/simulate", `{"workload":"li","turbo":true}`, 400, ""},
+		{"bad level", "/v1/simulate", `{"workload":"li","dvi_level":"max"}`, 400, ""},
+		{"bad scheme", "/v1/simulate", `{"workload":"li","scheme":"magic"}`, 400, ""},
+		{"bad policy", "/v1/annotate", `{"workload":"li","policy":"never"}`, 400, ""},
+		{"bad json", "/v1/ctxswitch", `{`, 400, ""},
+		{"negative contexts", "/v1/simulate", `{"workload":"li","contexts":-1}`, 400, ""},
+		{"contexts over limit", "/v1/simulate", `{"workload":"li","contexts":9}`, 400, ""},
+		{"bad fetch policy", "/v1/simulate", `{"workload":"li","contexts":2,"fetch_policy":"priority"}`, 400, ""},
+		{"contexts regfile too small", "/v1/simulate", `{"workload":"li","contexts":4}`, 400, ""},
+		{"contexts with sampling", "/v1/simulate", `{"workload":"li","contexts":2,"sampling":{}}`, 400, ""},
+		// A negative machine field must fail in the prepare step, before
+		// a simulator sizes a structure or a latency from it.
+		{"negative window_size", "/v1/simulate", `{"workload":"li","machine":{"window_size":-1}}`, 400, "machine.window_size"},
+		{"negative ifq_size", "/v1/simulate", `{"workload":"li","machine":{"ifq_size":-1}}`, 400, "machine.ifq_size"},
+		{"negative stack_depth", "/v1/simulate", `{"workload":"li","machine":{"stack_depth":-1}}`, 400, "machine.stack_depth"},
+		{"negative issue_width", "/v1/simulate", `{"workload":"li","machine":{"issue_width":-4}}`, 400, "machine.issue_width"},
+		{"negative mul_latency", "/v1/simulate", `{"workload":"li","machine":{"mul_latency":-3}}`, 400, "machine.mul_latency"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -494,6 +502,9 @@ func TestRequestValidation(t *testing.T) {
 			var e service.Error
 			if err := json.Unmarshal(body, &e); err != nil || e.Message == "" {
 				t.Fatalf("error body not standard JSON: %s", body)
+			}
+			if !strings.Contains(e.Message, c.msg) {
+				t.Fatalf("error %q does not name %q", e.Message, c.msg)
 			}
 		})
 	}
