@@ -6,6 +6,7 @@ import (
 	"io"
 
 	"dvi/internal/runner"
+	"dvi/internal/sample"
 	"dvi/internal/session"
 )
 
@@ -67,7 +68,7 @@ func CollectResults(ctx context.Context, sess *session.Session, opt Options, ids
 		err     error
 	)
 	if opt.Sampling != nil {
-		results, err = sess.CollectSampled(ctx, jobs, *opt.Sampling)
+		results, err = collectSampled(ctx, sess, jobs, opt.Sampling)
 	} else {
 		results, err = sess.Collect(ctx, jobs)
 	}
@@ -79,6 +80,44 @@ func CollectResults(ctx context.Context, sess *session.Session, opt Options, ids
 		rs[sp.id] = results[sp.lo:sp.hi]
 	}
 	return rs, nil
+}
+
+// collectSampled runs a grid with every single-context timing job
+// sampled under so: those one at a time, then everything else as one
+// batch, in submission order. Multi-context timing jobs stay exact:
+// checkpointed sampling is single-context. The engine already measures
+// sampled jobs one at a time, each fanning its intervals out across the
+// whole pool, so a batch of them gains no speed; yet submitting the grid
+// as one batch, or as a sampled batch and an exact one, ran the sampled
+// report at a 9–15% higher peak heap on a 2-vCPU host, with identical
+// results.
+func collectSampled(ctx context.Context, sess *session.Session, jobs []runner.Job, so *sample.Options) ([]runner.Result, error) {
+	results := make([]runner.Result, len(jobs))
+	var rest []runner.Job
+	var restIdx []int
+	for i, j := range jobs {
+		if j.Kind != runner.Timing || j.Machine.ContextCount() != 1 {
+			rest = append(rest, j)
+			restIdx = append(restIdx, i)
+			continue
+		}
+		j.Sampling = so
+		out, err := sess.Collect(ctx, []runner.Job{j})
+		if err != nil {
+			return nil, err
+		}
+		results[i] = out[0]
+		results[i].Index = i
+	}
+	out, err := sess.Collect(ctx, rest)
+	if err != nil {
+		return nil, err
+	}
+	for k, res := range out {
+		res.Index = restIdx[k]
+		results[restIdx[k]] = res
+	}
+	return results, nil
 }
 
 // RunFigures runs the selected figures through one shared session and

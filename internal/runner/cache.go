@@ -2,6 +2,7 @@ package runner
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"sync/atomic"
 
@@ -163,14 +164,24 @@ func (c *BuildCache) Get(ctx context.Context, s workload.Spec, scale int, opt wo
 	c.mu.Unlock()
 
 	c.misses.Add(1)
+	// Settle the entry even if the compiler panics, so waiters never
+	// hang: they fail with errBuildPanicked while the panic itself
+	// unwinds to the job that ran the build.
+	ent.err = errBuildPanicked
+	defer func() {
+		c.mu.Lock()
+		ent.done = true
+		c.enforceCapacity()
+		c.mu.Unlock()
+		close(ent.ready)
+	}()
 	ent.pr, ent.img, ent.err = c.fill(ctx, s, scale, opt, key)
-	c.mu.Lock()
-	ent.done = true
-	c.enforceCapacity()
-	c.mu.Unlock()
-	close(ent.ready)
 	return ent.pr, ent.img, ent.err
 }
+
+// errBuildPanicked is the cached outcome of a build whose compiler
+// panicked.
+var errBuildPanicked = errors.New("runner: build panicked")
 
 // fill resolves a memory miss: a verified store artifact decodes
 // straight into the cache, anything else compiles (and, on success,

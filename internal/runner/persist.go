@@ -1,4 +1,4 @@
-package session
+package runner
 
 import (
 	"crypto/sha256"
@@ -43,7 +43,7 @@ type sampledRecord struct {
 // determinism contract. ok is false when the configuration cannot be
 // hashed (an exotic non-marshalable config) — callers then skip
 // persistence rather than risk a collision.
-func (s *Session) samplePlanKey(j Job, opt sample.Options) (string, bool) {
+func samplePlanKey(j Job, opt sample.Options) (string, bool) {
 	mcfg := j.Machine
 	mcfg.Trace = nil // obs.PipeSink: not marshalable, never result-relevant
 	blob, err := json.Marshal(struct {
@@ -74,10 +74,10 @@ func encodeSampledRecord(scan sample.ScanResult, results []sample.IntervalResult
 func decodeSampledRecord(payload []byte, opt sample.Options) (sample.Estimate, error) {
 	var rec sampledRecord
 	if err := json.Unmarshal(payload, &rec); err != nil {
-		return sample.Estimate{}, fmt.Errorf("session: decode sampled record: %w", err)
+		return sample.Estimate{}, fmt.Errorf("runner: decode sampled record: %w", err)
 	}
 	if rec.Version != sampledRecordVersion {
-		return sample.Estimate{}, fmt.Errorf("session: sampled record version %d, want %d", rec.Version, sampledRecordVersion)
+		return sample.Estimate{}, fmt.Errorf("runner: sampled record version %d, want %d", rec.Version, sampledRecordVersion)
 	}
 	scan := sample.ScanResult{
 		TotalInsts: rec.TotalInsts,

@@ -1,9 +1,17 @@
-// Package runner is the experiment execution engine: it runs simulation
-// jobs on a bounded worker pool over a memoizing, single-flight build
-// cache. The experiment harness (internal/harness) declares grids of
-// (workload × configuration) jobs and consumes ordered results; this
-// package owns all concurrency so the experiments themselves stay
-// declarative and deterministic.
+// Package runner is the experiment execution engine: it runs jobs on a
+// bounded worker pool over a memoizing, single-flight build cache. The
+// experiment harness (internal/harness) declares grids of (workload ×
+// configuration) jobs and consumes ordered results; this package owns all
+// concurrency so the experiments themselves stay declarative and
+// deterministic.
+//
+// Every kind of work is a Job: exact timing runs, functional and
+// context-switch measurements, bare builds, kill insertion (Annotate),
+// and sampled timing runs (a Timing job with Sampling set), whose
+// sampler fans its detailed intervals out as nested SampledInterval jobs
+// on the same pool; sampled jobs measure one at a time, beside the
+// batch's other jobs. Each job runs inside one recover: a panicking job
+// fails with a "panic:" error and the process carries on.
 //
 // Determinism contract: Run returns results indexed by submission order
 // regardless of completion order, every simulator instance is built from
@@ -16,6 +24,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -25,6 +34,7 @@ import (
 	"dvi/internal/obs"
 	"dvi/internal/ooo"
 	"dvi/internal/prog"
+	"dvi/internal/rewrite"
 	"dvi/internal/sample"
 	"dvi/internal/store"
 	"dvi/internal/workload"
@@ -50,6 +60,12 @@ const (
 	// job per selected interval; they are independent, so a batch spreads
 	// across the pool like any other grid.
 	SampledInterval
+	// Annotate inserts kill annotations into a private build that skips
+	// the cache (the rewriter mutates its program): Build.Infer selects
+	// rewrite.Infer, otherwise rewrite.InsertKills, with Build.Policy.
+	// The result carries the rewritten program, its re-linked image and
+	// the number of kills inserted.
+	Annotate
 )
 
 // String returns the progress label for the kind.
@@ -63,6 +79,8 @@ func (k Kind) String() string {
 		return "ctxswitch"
 	case SampledInterval:
 		return "interval"
+	case Annotate:
+		return "annotate"
 	default:
 		return "build"
 	}
@@ -97,10 +115,18 @@ type Job struct {
 	// Interval is the CtxSwitch preemption sampling interval.
 	Interval uint64
 
+	// Sampling, when set on a single-context Timing job, runs it through
+	// the statistical sampler instead of an exact detailed run (see
+	// Result.Sampled).
+	Sampling *sample.Options
 	// Sample is the checkpoint a SampledInterval job simulates. The
-	// checkpoint is read-only during the run and owned by the submitting
-	// sampler (typically acquired from AcquireCheckpoint).
+	// checkpoint is read-only during the run and owned by the sampled
+	// job that submitted it.
 	Sample *sample.Checkpoint
+
+	// NoPrune disables an Annotate job's interprocedural kill pruning
+	// (rewrite.Options.NoPrune).
+	NoPrune bool
 
 	// KeepMachine retains the Timing simulator instance on the Result
 	// for callers that need cache/predictor detail (cmd/dvisim). Off by
@@ -115,8 +141,15 @@ func (j Job) label() string {
 	if j.Label != "" {
 		return j.Label
 	}
-	return fmt.Sprintf("%s %s", j.Kind, j.Workload.Key(j.Scale, j.Build))
+	kind := j.Kind.String()
+	if j.sampled() {
+		kind = "sampled"
+	}
+	return fmt.Sprintf("%s %s", kind, j.Workload.Key(j.Scale, j.Build))
 }
+
+// sampled reports whether the job runs through the sampler.
+func (j Job) sampled() bool { return j.Kind == Timing && j.Sampling != nil }
 
 // Result is the outcome of one job, in submission order.
 type Result struct {
@@ -145,11 +178,14 @@ type Result struct {
 	// Interval holds the measurement for SampledInterval jobs.
 	Interval sample.IntervalResult
 
-	// Sampled carries the whole-program estimate when the session ran a
-	// Timing job through the statistical sampler instead of an exact
-	// detailed run; Timing then holds the estimate rendered as machine
-	// stats. Exact runs leave it nil.
+	// Sampled carries the whole-program estimate of a Timing job run
+	// with Sampling set; Timing then holds the estimate rendered as
+	// machine stats. Exact runs leave it nil.
 	Sampled *sample.Estimate
+
+	// Inserted is the number of kills an Annotate job inserted; Program
+	// and Image are then its private rewritten build.
+	Inserted int
 
 	// Err is the job's failure, wrapped with its label. Run never returns
 	// results with Err set (it fails fast instead); Stream sets it on the
@@ -231,9 +267,8 @@ type Engine struct {
 	progress ProgressFunc
 	cache    *BuildCache
 
-	machines    sync.Pool // *ooo.Machine
-	emus        sync.Pool // *emu.Emulator
-	checkpoints sync.Pool // *sample.Checkpoint
+	machines sync.Pool // *ooo.Machine
+	emus     sync.Pool // *emu.Emulator
 
 	// Pool effectiveness accounting: how often a job ran on a reset warm
 	// instance versus having to build a fresh one (PoolStats; exported by
@@ -241,6 +276,23 @@ type Engine struct {
 	machineReuse, machineFresh atomic.Int64
 	emuReuse, emuFresh         atomic.Int64
 	ckReuse, ckFresh           atomic.Int64
+
+	panics atomic.Int64 // jobs whose panic runJob recovered
+
+	// sampling is a one-slot semaphore: one sampled job at a time scans
+	// and fans its intervals out (runSampled), so at most one scan's
+	// checkpoints are live and its interval jobs add at most a pool's
+	// worth of machines, however many sampled jobs a batch or a set of
+	// concurrent batches holds.
+	sampling chan struct{}
+	// checkpoints is the free list of checkpoint buffers, touched only
+	// by the holder of the sampling slot. It keeps the last sampled
+	// job's buffers, and only those, in the order that job took them, so
+	// the next job's n-th capture reuses a buffer already grown for an
+	// n-th capture. (A sync.Pool hands buffers back in an order that
+	// depends on which worker ran the job, and raised peak heap ~10% on
+	// batches of sampled jobs.)
+	checkpoints []*sample.Checkpoint
 }
 
 // PoolStats reports instance pool effectiveness: jobs served by resetting
@@ -275,8 +327,17 @@ func New(opt Options) *Engine {
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
-	return &Engine{workers: w, progress: opt.Progress, cache: NewBuildCacheStore(opt.Compile, opt.CacheCapacity, opt.Store)}
+	return &Engine{
+		workers:  w,
+		progress: opt.Progress,
+		cache:    NewBuildCacheStore(opt.Compile, opt.CacheCapacity, opt.Store),
+		sampling: make(chan struct{}, 1),
+	}
 }
+
+// Panics returns how many jobs panicked; each failed with a "panic:"
+// error instead of taking the process down.
+func (e *Engine) Panics() int64 { return e.panics.Load() }
 
 // Workers returns the configured pool size.
 func (e *Engine) Workers() int { return e.workers }
@@ -428,22 +489,64 @@ func (e *Engine) putEmu(em *emu.Emulator) {
 // runJob builds (or fetches) the binary and executes one job. queueWait
 // is how long the job sat queued behind the batch before a worker picked
 // it up; it only annotates the job's span (zero cost with tracing off).
-func (e *Engine) runJob(ctx context.Context, j Job, queueWait time.Duration) (Result, error) {
-	ctx, span := obs.StartSpan(ctx, "job")
+//
+// A sampled job's span is "sample", not "job": it holds the scans and
+// its interval jobs' own "job" spans, so summing "job" spans counts each
+// piece of pool work once.
+//
+// A panic anywhere in the job — compile, simulation, sampler, rewriter —
+// is recovered into the job's error and its stack recorded on the job
+// span. The machine or emulator it was using is never pooled again.
+func (e *Engine) runJob(ctx context.Context, j Job, queueWait time.Duration) (res Result, err error) {
+	name := "job"
+	if j.sampled() {
+		name = "sample"
+	}
+	ctx, span := obs.StartSpan(ctx, name)
 	if span != nil {
 		span.SetAttr("label", j.label())
 		span.SetAttr("kind", j.Kind.String())
 		span.SetAttr("queue_wait_ms", float64(queueWait)/float64(time.Millisecond))
 		defer span.End()
 	}
+	defer func() {
+		if p := recover(); p != nil {
+			e.panics.Add(1)
+			err = fmt.Errorf("panic: %v", p)
+			if span != nil {
+				span.SetAttr("panic_stack", string(debug.Stack()))
+			}
+		}
+	}()
 
 	bctx, bspan := obs.StartSpan(ctx, "build")
-	pr, img, err := e.cache.Get(bctx, j.Workload, j.Scale, j.Build)
+	var (
+		pr  *prog.Program
+		img *prog.Image
+	)
+	if j.Kind == Annotate {
+		// A private plain build, never the cache's: the rewriter mutates
+		// its program, and cached artifacts are shared read-only.
+		pr, img, err = e.cache.compile(j.Workload, j.Scale, workload.BuildOptions{})
+	} else {
+		pr, img, err = e.cache.Get(bctx, j.Workload, j.Scale, j.Build)
+	}
 	bspan.End()
 	if err != nil {
 		return Result{}, err
 	}
-	res := Result{Job: j, Program: pr, Image: img}
+	res = Result{Job: j, Program: pr, Image: img}
+	if j.sampled() {
+		if err := j.Machine.CheckContexts(); err != nil {
+			return res, err
+		}
+		est, err := e.runSampled(ctx, j, pr, img)
+		if err != nil {
+			return res, err
+		}
+		res.Timing, res.Sampled = est.Stats, &est
+		return res, nil
+	}
 	_, kspan := obs.StartSpan(ctx, j.Kind.String())
 	defer kspan.End()
 	switch j.Kind {
@@ -500,6 +603,19 @@ func (e *Engine) runJob(ctx context.Context, j Job, queueWait time.Duration) (Re
 		}
 		res.Interval = iv
 		e.putMachine(m)
+	case Annotate:
+		insert := rewrite.InsertKills
+		if j.Build.Infer {
+			insert = rewrite.Infer
+		}
+		n, err := insert(pr, rewrite.Options{Policy: j.Build.Policy, NoPrune: j.NoPrune})
+		if err != nil {
+			return res, fmt.Errorf("rewrite: %w", err)
+		}
+		if res.Image, err = pr.Link(); err != nil {
+			return res, fmt.Errorf("link: %w", err)
+		}
+		res.Inserted = n
 	case Build:
 		// Artifacts only.
 	default:

@@ -4,14 +4,19 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"dvi/internal/core"
 	"dvi/internal/emu"
+	"dvi/internal/obs"
 	"dvi/internal/ooo"
 	"dvi/internal/prog"
+	"dvi/internal/rewrite"
+	"dvi/internal/sample"
 	"dvi/internal/workload"
 )
 
@@ -238,5 +243,135 @@ func TestTimingJobCarriesMachine(t *testing.T) {
 	}
 	if res[0].Image == nil || res[0].Image.TextWords() == 0 {
 		t.Error("timing result missing image")
+	}
+}
+
+// TestAnnotateJob pins the Annotate kind: a private plain build that
+// never touches the build cache, rewritten by the engine Build selects,
+// and re-linked.
+func TestAnnotateJob(t *testing.T) {
+	li, _ := workload.ByName("li")
+	for _, infer := range []bool{false, true} {
+		want, _, err := workload.CompileSpec(li, 1, workload.BuildOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		insert := rewrite.InsertKills
+		if infer {
+			insert = rewrite.Infer
+		}
+		n, err := insert(want, rewrite.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		e := New(Options{Workers: 1})
+		out, err := e.Run(context.Background(), []Job{{
+			Workload: li, Scale: 1, Kind: Annotate,
+			Build: workload.BuildOptions{Infer: infer},
+		}})
+		if err != nil {
+			t.Fatalf("infer=%v: %v", infer, err)
+		}
+		res := out[0]
+		if res.Inserted != n || n == 0 {
+			t.Errorf("infer=%v: inserted %d, want %d (> 0)", infer, res.Inserted, n)
+		}
+		if got, exp := prog.FormatAsm(res.Program), prog.FormatAsm(want); got != exp {
+			t.Errorf("infer=%v: rewritten program differs from the library's", infer)
+		}
+		wantImg, err := want.Link()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Image == nil || res.Image.TextWords() != wantImg.TextWords() {
+			t.Errorf("infer=%v: image not re-linked after rewriting", infer)
+		}
+		if hits, misses := e.Cache().Stats(); hits+misses != 0 || e.Cache().Compiles() != 0 {
+			t.Errorf("infer=%v: annotate touched the build cache (%d hits, %d misses)", infer, hits, misses)
+		}
+	}
+}
+
+// TestSampledJobsMeasureOneAtATime pins the engine's sampling slot and
+// span shape: a batch of sampled jobs on a multi-worker pool measures
+// them one at a time (no two jobs' scans and interval fan-outs overlap),
+// and each runs under a "sample" span whose interval jobs are the only
+// "job" spans, so job time is never counted twice.
+func TestSampledJobsMeasureOneAtATime(t *testing.T) {
+	so := &sample.Options{Interval: 4000, Warmup: 1000, Period: 4}
+	cfg := ooo.DefaultConfig()
+	cfg.MaxInsts = 40_000
+	var jobs []Job
+	for _, name := range []string{"compress", "li", "go", "perl"} {
+		s, _ := workload.ByName(name)
+		jobs = append(jobs, Job{Workload: s, Scale: 1, Kind: Timing, Machine: cfg, Sampling: so})
+	}
+
+	var (
+		mu    sync.Mutex
+		roots []*obs.SpanSnapshot
+	)
+	rec := obs.NewRecorder(1)
+	rec.OnRecord = func(s *obs.Span) {
+		mu.Lock()
+		roots = append(roots, s.Snapshot())
+		mu.Unlock()
+	}
+	out, err := New(Options{Workers: 4}).Run(obs.WithRecorder(context.Background(), rec), jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range out {
+		if r.Sampled == nil || r.Sampled.Measured < 2 {
+			t.Errorf("job %d: no sampled estimate: %+v", i, r.Sampled)
+		}
+	}
+
+	type window struct {
+		label  string
+		lo, hi time.Time
+	}
+	var windows []window
+	for _, root := range roots {
+		if root.Name != "sample" {
+			t.Errorf("root span %q, want sample", root.Name)
+			continue
+		}
+		w := window{label: fmt.Sprint(root.Attrs["label"])}
+		jobSpans := 0
+		for _, c := range root.Children {
+			if c.Name == "build" || c.Name == "sample-wait" {
+				continue
+			}
+			if c.Name == "job" {
+				jobSpans++
+				for _, g := range c.Children {
+					if g.Name == "job" {
+						t.Errorf("%s: a job span nests inside a job span", w.label)
+					}
+				}
+			}
+			end := c.Start.Add(time.Duration(c.DurationMS * float64(time.Millisecond)))
+			if w.lo.IsZero() || c.Start.Before(w.lo) {
+				w.lo = c.Start
+			}
+			if end.After(w.hi) {
+				w.hi = end
+			}
+		}
+		if jobSpans == 0 {
+			t.Errorf("%s: no interval job spans under the sample span", w.label)
+		}
+		windows = append(windows, w)
+	}
+	if len(windows) != len(jobs) {
+		t.Fatalf("%d sample spans, want %d", len(windows), len(jobs))
+	}
+	slices.SortFunc(windows, func(a, b window) int { return a.lo.Compare(b.lo) })
+	for i := 1; i < len(windows); i++ {
+		if windows[i].lo.Before(windows[i-1].hi) {
+			t.Errorf("%s measured while %s was still measuring", windows[i].label, windows[i-1].label)
+		}
 	}
 }

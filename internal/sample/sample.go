@@ -101,7 +101,7 @@ func Selected(idx, period int, seed uint64) bool {
 // Checkpoint is the state needed to simulate one interval in detail,
 // captured during the functional scan Warmup instructions before the
 // interval begins. Buffers inside are reused across captures; the engine
-// pools whole checkpoints (runner.Engine.AcquireCheckpoint).
+// pools whole checkpoints across sampled jobs.
 type Checkpoint struct {
 	// Index is the interval this checkpoint serves.
 	Index int

@@ -8,7 +8,6 @@ import (
 	"io"
 	"net/http"
 	"strings"
-	"sync"
 
 	"dvi/internal/core"
 	"dvi/internal/ctxswitch"
@@ -17,7 +16,6 @@ import (
 	"dvi/internal/obs"
 	"dvi/internal/ooo"
 	"dvi/internal/prog"
-	"dvi/internal/rewrite"
 	"dvi/internal/runner"
 	"dvi/internal/sample"
 	"dvi/internal/session"
@@ -29,39 +27,27 @@ import (
 // local fallback (ExecuteJob) — goes through the same three stages:
 //
 //	prepare:  validate the wire request and freeze it into a preparedJob
-//	execute:  run it on the shared session (engine pool + build cache)
+//	execute:  run it as an engine job on the shared session (pool +
+//	          build cache), every kind alike — exact and sampled
+//	          simulate, ctxswitch and annotate
 //	render:   shape the runner result into the wire response
 //
 // A /v1 request is a one-job batch: its body decodes into the payload
 // of a JobRequest (DecodeV1), prepares like any batch entry, and runs
-// through run, the one function that executes a preparedJob on its own.
-// Its answer is the payload of the line /v2 would stream, so the two
-// versions cannot drift (service_test.go's golden test verifies both
+// through stream, the one function that executes prepared jobs. Its
+// answer is the payload of the line /v2 would stream, so the two
+// versions cannot drift (jobs_test.go's golden test verifies both
 // against the library). Every validation or execution failure is a
 // client error: a 400 on /v1 and on batch validation, an error field on
 // a /v2 line.
 
-// errDeliveryClosed cancels the engine batch when the /v2/jobs delivery
-// loop has stopped consuming (the response stream broke).
-var errDeliveryClosed = errors.New("service: /v2/jobs delivery closed")
-
-// preparedJob is one validated, ready-to-run unit of work. Engine-backed
-// kinds (exact simulate, ctxswitch) carry a runner job plus a render
-// hook; the rest carry a self-contained inline thunk that fills its
-// result line directly. Annotate is inline because the binary rewriter
-// mutates its program and therefore works on private builds outside the
-// shared cache; sampled simulate is inline because the sampler is its
-// own orchestration — it fans interval jobs out across the engine's
-// worker pool itself.
+// preparedJob is one validated, ready-to-run unit of work: an engine
+// job plus the hook that renders its result into the wire line.
 type preparedJob struct {
 	kind   string
 	job    runner.Job
 	render func(runner.Result, *JobResult)
-	inline func(context.Context, *JobResult) error
 }
-
-// engineBacked reports whether the job executes on the session's engine.
-func (pj *preparedJob) engineBacked() bool { return pj.inline == nil }
 
 // prepareJob validates one /v2 batch entry.
 func (s *Server) prepareJob(jr JobRequest) (*preparedJob, error) {
@@ -234,45 +220,11 @@ func (s *Server) prepareSimulate(req *SimulateRequest) (*preparedJob, error) {
 		Machine:  cfg,
 	}
 	if req.Sampling != nil {
-		so := sample.Options{
+		job.Sampling = &sample.Options{
 			Interval: req.Sampling.Interval,
 			Warmup:   req.Sampling.Warmup,
 			TargetCI: req.Sampling.TargetCI,
 		}
-		return &preparedJob{
-			kind: "simulate",
-			inline: func(ctx context.Context, line *JobResult) error {
-				out, err := s.sess.CollectSampled(ctx, []runner.Job{job}, so)
-				if err != nil {
-					return err
-				}
-				res, est := out[0], out[0].Sampled
-				s.met.observeSim(res.Timing)
-				s.met.observeSampled(est.RelCI)
-				_, rspan := obs.StartSpan(ctx, "render")
-				defer rspan.End()
-				line.Simulate = &SimulateResponse{
-					Workload: spec.Name,
-					Scale:    scale,
-					BuildKey: key,
-					MaxInsts: cfg.MaxInsts,
-					IPC:      est.IPC,
-					Stats:    res.Timing,
-					Sampled: &SampledSummary{
-						Interval:      est.Interval,
-						Warmup:        est.Warmup,
-						Intervals:     est.Intervals,
-						Measured:      est.Measured,
-						TotalInsts:    est.TotalInsts,
-						DetailedInsts: est.DetailedInsts,
-						CIHalfWidth:   est.CIHalfWidth,
-						RelCI:         est.RelCI,
-						Confidence:    est.Confidence,
-					},
-				}
-				return nil
-			},
-		}, nil
 	}
 	return &preparedJob{
 		kind: "simulate",
@@ -288,6 +240,21 @@ func (s *Server) prepareSimulate(req *SimulateRequest) (*preparedJob, error) {
 				IPC:      st.IPC(),
 				Stats:    st,
 				CtxStats: res.CtxStats,
+			}
+			if est := res.Sampled; est != nil {
+				s.met.observeSampled(est.RelCI)
+				line.Simulate.IPC = est.IPC
+				line.Simulate.Sampled = &SampledSummary{
+					Interval:      est.Interval,
+					Warmup:        est.Warmup,
+					Intervals:     est.Intervals,
+					Measured:      est.Measured,
+					TotalInsts:    est.TotalInsts,
+					DetailedInsts: est.DetailedInsts,
+					CIHalfWidth:   est.CIHalfWidth,
+					RelCI:         est.RelCI,
+					Confidence:    est.Confidence,
+				}
 			}
 			if traceBuf != nil {
 				ts, err := renderTrace(traceBuf, traceFormat)
@@ -339,94 +306,56 @@ func (s *Server) prepareCtxSwitch(req *CtxSwitchRequest) (*preparedJob, error) {
 }
 
 // prepareAnnotate validates a kill-insertion request and freezes it into
-// a thunk. The rewriter mutates its program, so the thunk always works on
-// a fresh private build (never the shared cache) and runs inline at its
-// slot in the result stream — it is compile-bound, not simulation-bound.
+// an Annotate engine job, which works on a private build outside the
+// cache (the rewriter mutates its program).
 func (s *Server) prepareAnnotate(req *AnnotateRequest) (*preparedJob, error) {
 	policy, err := parsePolicy(req.Policy)
 	if err != nil {
 		return nil, err
 	}
-	noPrune := req.NoPrune
-	var infer bool
+	bopt := workload.BuildOptions{Policy: policy}
 	switch req.Mode {
 	case "", "rewrite":
 	case "infer":
-		infer = true
+		bopt.Infer = true
 	default:
 		return nil, fmt.Errorf("unknown mode %q (want rewrite or infer)", req.Mode)
 	}
-
-	// finish runs the selected annotation engine over a private program
-	// and shapes the response; shared by both sources.
-	finish := func(pr *prog.Program) (*AnnotateResponse, error) {
-		annotate := rewrite.InsertKills
-		if infer {
-			annotate = rewrite.Infer
-		}
-		inserted, err := annotate(pr, rewrite.Options{Policy: policy, NoPrune: noPrune})
-		if err != nil {
-			return nil, fmt.Errorf("rewrite: %v", err)
-		}
-		img, err := pr.Link()
-		if err != nil {
-			return nil, fmt.Errorf("link: %v", err)
-		}
-		var perProc []ProcKills
-		for _, p := range pr.Procs {
-			kills := 0
-			for _, in := range p.Insts {
-				if in.Op == isa.KILL {
-					kills++
+	spec, scale, err := s.resolveSource(req.Workload, req.Asm, req.Scale)
+	if err != nil {
+		return nil, err
+	}
+	return &preparedJob{
+		kind: "annotate",
+		job: runner.Job{
+			Label:    "annotate " + spec.Key(scale, bopt).String(),
+			Workload: spec,
+			Scale:    scale,
+			Build:    bopt,
+			Kind:     runner.Annotate,
+			NoPrune:  req.NoPrune,
+		},
+		render: func(res runner.Result, line *JobResult) {
+			var perProc []ProcKills
+			for _, p := range res.Program.Procs {
+				kills := 0
+				for _, in := range p.Insts {
+					if in.Op == isa.KILL {
+						kills++
+					}
+				}
+				if kills > 0 {
+					perProc = append(perProc, ProcKills{Proc: p.Name, Kills: kills})
 				}
 			}
-			if kills > 0 {
-				perProc = append(perProc, ProcKills{Proc: p.Name, Kills: kills})
+			line.Annotate = &AnnotateResponse{
+				Asm:       prog.FormatAsm(res.Program),
+				Inserted:  res.Inserted,
+				PerProc:   perProc,
+				TextWords: res.Image.TextWords(),
 			}
-		}
-		return &AnnotateResponse{
-			Asm:       prog.FormatAsm(pr),
-			Inserted:  inserted,
-			PerProc:   perProc,
-			TextWords: img.TextWords(),
-		}, nil
-	}
-
-	var thunk func() (*AnnotateResponse, error)
-	switch {
-	case req.Asm != "" && req.Workload != "":
-		return nil, errors.New("set either workload or asm, not both")
-	case req.Asm != "":
-		asm := req.Asm
-		thunk = func() (*AnnotateResponse, error) {
-			pr, err := prog.ParseAsm(asm)
-			if err != nil {
-				return nil, fmt.Errorf("parse: %v", err)
-			}
-			return finish(pr)
-		}
-	case req.Workload != "":
-		spec, scale, err := s.resolveSource(req.Workload, "", req.Scale)
-		if err != nil {
-			return nil, err
-		}
-		thunk = func() (*AnnotateResponse, error) {
-			// A fresh, un-annotated build — never the cache's: the rewriter
-			// mutates the program, and cached artifacts are shared read-only.
-			pr, _, err := s.compile(spec, scale, workload.BuildOptions{})
-			if err != nil {
-				return nil, fmt.Errorf("build %s: %v", spec.Name, err)
-			}
-			return finish(pr)
-		}
-	default:
-		return nil, errors.New("one of workload or asm is required")
-	}
-	return &preparedJob{kind: "annotate", inline: func(_ context.Context, line *JobResult) error {
-		resp, err := thunk()
-		line.Annotate = resp
-		return err
-	}}, nil
+		},
+	}, nil
 }
 
 // DecodeV1 strictly decodes a /v1 one-shot body for kind ("simulate",
@@ -451,38 +380,43 @@ func DecodeV1(kind string, body io.Reader) (JobRequest, error) {
 	return jr, readJSON(body, dst)
 }
 
-// run executes one prepared job on the shared session and returns its
-// result line (Index left zero; the caller owns stream positions).
-// Inline jobs run on the calling goroutine; engine-backed ones submit a
-// one-job batch. A failure — the job's own or the context's — travels
-// on the line's error field, mirroring /v2's per-job error isolation.
+// stream executes prepared jobs as one batch on the shared session and
+// hands emit each job's line, indexed and in submission order, as soon
+// as every earlier line has gone out. A job's failure travels on its
+// line's error field and does not stop the batch; an emit error cancels
+// the batch and is returned, as is the context's error.
+func (s *Server) stream(ctx context.Context, pjs []*preparedJob, emit func(JobResult) error) error {
+	jobs := make([]runner.Job, len(pjs))
+	for i, pj := range pjs {
+		jobs[i] = pj.job
+	}
+	return s.sess.Run(ctx, jobs, func(res runner.Result) error {
+		pj := pjs[res.Index]
+		line := JobResult{Index: res.Index, Kind: pj.kind}
+		if res.Err != nil {
+			line.Error = res.Err.Error()
+		} else {
+			_, rspan := obs.StartSpan(ctx, "render")
+			pj.render(res, &line)
+			rspan.End()
+		}
+		return emit(line)
+	})
+}
+
+// run executes one prepared job and returns its result line. A failure
+// — the job's own or the context's — travels on the line's error field,
+// mirroring /v2's per-job error isolation.
 func (s *Server) run(ctx context.Context, pj *preparedJob) JobResult {
 	line := JobResult{Kind: pj.kind}
-	if !pj.engineBacked() {
-		if err := pj.inline(ctx, &line); err != nil {
-			line.Error = err.Error()
-		}
-		return line
-	}
-	err := s.sess.Run(ctx, []runner.Job{pj.job}, func(res runner.Result) error {
-		pj.finish(ctx, res, &line)
+	err := s.stream(ctx, []*preparedJob{pj}, func(l JobResult) error {
+		line = l
 		return nil
 	})
 	if err != nil && line.Error == "" {
 		line.Error = err.Error()
 	}
 	return line
-}
-
-// finish fills an engine-backed job's line from its runner result.
-func (pj *preparedJob) finish(ctx context.Context, res runner.Result, line *JobResult) {
-	if res.Err != nil {
-		line.Error = res.Err.Error()
-		return
-	}
-	_, rspan := obs.StartSpan(ctx, "render")
-	pj.render(res, line)
-	rspan.End()
 }
 
 // ValidateJob runs one /v2 batch entry through the same prepare step
@@ -547,7 +481,12 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	enc := json.NewEncoder(w)
 	flusher, _ := w.(http.Flusher)
-	writeLine := func(line JobResult) error {
+
+	// Every job runs on the session's worker pool; lines stream in
+	// submission order. A broken stream cancels the rest of the batch,
+	// and a client gone away cancels it through the request context —
+	// either way the status is committed and there is no one to tell.
+	_ = s.stream(r.Context(), prepared, func(line JobResult) error {
 		if err := enc.Encode(line); err != nil {
 			return err
 		}
@@ -555,64 +494,5 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 			flusher.Flush()
 		}
 		return nil
-	}
-
-	// Engine-backed jobs are submitted to the session immediately and run
-	// concurrently on its worker pool, so a leading inline job never
-	// delays engine submission. Inline jobs execute on this goroutine at
-	// their slot in the stream: annotate is compile-bound and cheap, and
-	// a sampled simulate fans its interval jobs out across the same
-	// worker pool itself, so running them serially here keeps a single
-	// batch from oversubscribing the machine (at the cost that an inline
-	// job behind a slow simulation starts only when its slot comes up).
-	var engJobs []runner.Job
-	for _, pj := range prepared {
-		if pj.engineBacked() {
-			engJobs = append(engJobs, pj.job)
-		}
-	}
-	done := make(chan struct{}) // closed when delivery stops consuming
-	var doneOnce sync.Once
-	closeDone := func() { doneOnce.Do(func() { close(done) }) }
-	defer closeDone()
-
-	resCh := make(chan runner.Result) // engine results, submission order
-	runDone := make(chan struct{})
-	go func() {
-		defer close(runDone)
-		err := s.sess.Run(r.Context(), engJobs, func(res runner.Result) error {
-			select {
-			case resCh <- res:
-				return nil
-			case <-done:
-				return errDeliveryClosed
-			}
-		})
-		_ = err // the stream is the only way to answer; see below
-		close(resCh)
-	}()
-
-	for idx, pj := range prepared {
-		var line JobResult
-		if pj.engineBacked() {
-			res, ok := <-resCh
-			if !ok {
-				// The engine batch ended early: the client went away and
-				// the request context cancelled it. Nothing left to say.
-				break
-			}
-			line.Kind = pj.kind
-			pj.finish(r.Context(), res, &line)
-		} else {
-			line = s.run(r.Context(), pj)
-		}
-		line.Index = idx
-		if err := writeLine(line); err != nil {
-			// The stream broke mid-batch; the response cannot change
-			// status anymore. Stop consuming so the engine batch cancels.
-			break
-		}
-	}
-	closeDone()
-	<-runDone
+	})
 }

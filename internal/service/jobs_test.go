@@ -17,7 +17,9 @@ import (
 	"dvi/internal/isa"
 	"dvi/internal/prog"
 	"dvi/internal/rewrite"
+	"dvi/internal/sample"
 	"dvi/internal/service"
+	"dvi/internal/session"
 	"dvi/internal/workload"
 )
 
@@ -50,6 +52,38 @@ func goldenSimulate(t *testing.T) service.SimulateResponse {
 		MaxInsts: 50_000,
 		IPC:      st.IPC(),
 		Stats:    st,
+	}
+}
+
+// goldenSampled computes the expected /v1/simulate response for a
+// sampled run of (compress, 50k insts) with the default plan from the
+// session's SimulateSampled, bypassing the service.
+func goldenSampled(t *testing.T) service.SimulateResponse {
+	t.Helper()
+	w, _ := workload.ByName("compress")
+	est, err := session.New().SimulateSampled(context.Background(), w,
+		session.WithMaxInsts(50_000), session.WithSamplingOptions(sample.Options{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return service.SimulateResponse{
+		Workload: "compress",
+		Scale:    1,
+		BuildKey: w.Key(1, workload.BuildOptions{EDVI: true}).String(),
+		MaxInsts: 50_000,
+		IPC:      est.IPC,
+		Stats:    est.Stats,
+		Sampled: &service.SampledSummary{
+			Interval:      est.Interval,
+			Warmup:        est.Warmup,
+			Intervals:     est.Intervals,
+			Measured:      est.Measured,
+			TotalInsts:    est.TotalInsts,
+			DetailedInsts: est.DetailedInsts,
+			CIHalfWidth:   est.CIHalfWidth,
+			RelCI:         est.RelCI,
+			Confidence:    est.Confidence,
+		},
 	}
 }
 
@@ -128,6 +162,8 @@ func TestV1GoldenShims(t *testing.T) {
 	cases := []endpoint{
 		{"simulate", "/v1/simulate", "simulate",
 			`{"workload":"compress","max_insts":50000}`, goldenSimulate(t)},
+		{"sampled", "/v1/simulate", "simulate",
+			`{"workload":"compress","max_insts":50000,"sampling":{}}`, goldenSampled(t)},
 		{"ctxswitch", "/v1/ctxswitch", "ctxswitch",
 			`{"workload":"li","interval":97,"max_insts":100000}`, goldenCtxSwitch(t)},
 		{"annotate", "/v1/annotate", "annotate",
@@ -363,6 +399,53 @@ func TestJobsAnnotateStreamsBeforeSlowSimulate(t *testing.T) {
 	}
 	if !strings.Contains(second.line, `"index":1,"kind":"simulate"`) {
 		t.Fatalf("second streamed line: %s", second.line)
+	}
+}
+
+// TestJobsPanicStaysOnItsLine pins panic containment over the wire: a
+// compile function that panics fails only its own /v2 line with the
+// recovered panic, the daemon keeps serving, and the panic is counted.
+func TestJobsPanicStaysOnItsLine(t *testing.T) {
+	svc := service.New(service.Config{
+		Compile: func(s workload.Spec, scale int, opt workload.BuildOptions) (*prog.Program, *prog.Image, error) {
+			if s.Name == "go" {
+				panic("compiler bug")
+			}
+			return workload.CompileSpec(s, scale, opt)
+		},
+	})
+	ts := httptest.NewServer(svc)
+	defer ts.Close()
+
+	code, body := postJSON(t, ts.URL+"/v2/jobs", `{"jobs":[
+		{"kind":"simulate","simulate":{"workload":"go","max_insts":20000}},
+		{"kind":"annotate","annotate":{"workload":"go"}},
+		{"kind":"simulate","simulate":{"workload":"li","max_insts":20000}}]}`)
+	if code != http.StatusOK {
+		t.Fatalf("HTTP %d: %s", code, body)
+	}
+	lines := strings.Split(strings.TrimSpace(string(body)), "\n")
+	if len(lines) != 3 {
+		t.Fatalf("%d lines, want 3:\n%s", len(lines), body)
+	}
+	for i, want := range []string{
+		`"index":0,"kind":"simulate","error":"simulate go/x1/edvi: panic: compiler bug"`,
+		`"index":1,"kind":"annotate","error":"annotate go/x1/plain: panic: compiler bug"`,
+		`"index":2,"kind":"simulate","simulate":{`,
+	} {
+		if !strings.Contains(lines[i], want) {
+			t.Errorf("line %d = %s\nwant it to contain %s", i, lines[i], want)
+		}
+	}
+
+	// The next request answers, and both panics were counted.
+	code, body = postJSON(t, ts.URL+"/v1/simulate", `{"workload":"li","max_insts":20000}`)
+	if code != http.StatusOK {
+		t.Fatalf("request after the panic: HTTP %d: %s", code, body)
+	}
+	_, metrics := getBody(t, ts.URL+"/metrics")
+	if !strings.Contains(string(metrics), "dvid_job_panics_total 2\n") {
+		t.Errorf("metrics do not count 2 panics:\n%s", metrics)
 	}
 }
 

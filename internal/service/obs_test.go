@@ -318,7 +318,7 @@ func TestMetricsGoldenShape(t *testing.T) {
 		"dvid_queue_depth", "dvid_queue_capacity",
 		"dvid_build_cache_hits_total", "dvid_build_cache_misses_total",
 		"dvid_build_cache_evictions_total", "dvid_build_cache_entries",
-		"dvid_build_compiles_total",
+		"dvid_build_compiles_total", "dvid_job_panics_total",
 		"dvid_machine_pool_reuse_total", "dvid_machine_pool_fresh_total",
 		"dvid_emulator_pool_reuse_total", "dvid_emulator_pool_fresh_total",
 		"dvid_checkpoint_pool_reuse_total", "dvid_checkpoint_pool_fresh_total",

@@ -6,9 +6,12 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
+	"dvi/internal/obs"
 	"dvi/internal/service"
 )
 
@@ -153,6 +156,95 @@ func TestJobsBatchWithSampling(t *testing.T) {
 	if diff := math.Abs(sampled.IPC - exact.IPC); diff > sampled.Sampled.CIHalfWidth {
 		t.Fatalf("estimated IPC off by %.4f, CI half-width %.4f",
 			diff, sampled.Sampled.CIHalfWidth)
+	}
+}
+
+// TestJobsManySampledMeasureOneAtATime sends a /v2/jobs batch of
+// several sampled simulates beside an exact one to a 4-worker daemon.
+// The request's span tree must show the sampled jobs measuring one at a
+// time — no two sample spans' scans, interval jobs and aggregates
+// overlap — and each sampled line must carry the bytes /v1 answers for
+// the same request alone.
+func TestJobsManySampledMeasureOneAtATime(t *testing.T) {
+	ts := httptest.NewServer(service.New(service.Config{Workers: 4}))
+	defer ts.Close()
+
+	var reqs []string
+	jobs := []string{`{"kind":"simulate","simulate":{"workload":"li","max_insts":60000}}`}
+	for _, w := range []string{"compress", "li", "go", "perl", "compress"} {
+		r := `{"workload":"` + w + `","max_insts":60000,"sampling":{"interval":4000,"warmup":1000}}`
+		reqs = append(reqs, r)
+		jobs = append(jobs, `{"kind":"simulate","simulate":`+r+`}`)
+	}
+	code, body := postJSON(t, ts.URL+"/v2/jobs", `{"jobs":[`+strings.Join(jobs, ",")+`]}`)
+	if code != http.StatusOK {
+		t.Fatalf("/v2/jobs: HTTP %d: %s", code, body)
+	}
+	lines := strings.Split(strings.TrimSpace(string(body)), "\n")
+	if len(lines) != len(jobs) {
+		t.Fatalf("%d result lines, want %d", len(lines), len(jobs))
+	}
+
+	code, trace := getBody(t, ts.URL+"/debug/trace/recent")
+	if code != http.StatusOK {
+		t.Fatalf("trace: HTTP %d: %s", code, trace)
+	}
+	var recent service.TraceRecent
+	if err := json.Unmarshal(trace, &recent); err != nil || len(recent.Traces) == 0 {
+		t.Fatalf("no recorded trace (%v)", err)
+	}
+	type window struct{ lo, hi time.Time }
+	var windows []window
+	var walk func(s *obs.SpanSnapshot)
+	walk = func(s *obs.SpanSnapshot) {
+		if s.Name != "sample" {
+			for _, c := range s.Children {
+				walk(c)
+			}
+			return
+		}
+		var w window
+		for _, c := range s.Children {
+			if c.Name == "build" || c.Name == "sample-wait" {
+				continue
+			}
+			end := c.Start.Add(time.Duration(c.DurationMS * float64(time.Millisecond)))
+			if w.lo.IsZero() || c.Start.Before(w.lo) {
+				w.lo = c.Start
+			}
+			if end.After(w.hi) {
+				w.hi = end
+			}
+		}
+		windows = append(windows, w)
+	}
+	walk(recent.Traces[0]) // newest first
+	if len(windows) != len(reqs) {
+		t.Fatalf("%d sample spans, want %d", len(windows), len(reqs))
+	}
+	slices.SortFunc(windows, func(a, b window) int { return a.lo.Compare(b.lo) })
+	for i := 1; i < len(windows); i++ {
+		if windows[i].lo.Before(windows[i-1].hi) {
+			t.Errorf("two sampled jobs measured at once (sample spans from %s and %s)",
+				windows[i-1].lo.Format(time.StampMicro), windows[i].lo.Format(time.StampMicro))
+		}
+	}
+
+	for i, r := range reqs {
+		var line struct {
+			Simulate json.RawMessage `json:"simulate"`
+			Error    string          `json:"error"`
+		}
+		if err := json.Unmarshal([]byte(lines[i+1]), &line); err != nil || line.Error != "" {
+			t.Fatalf("line %d: %v %s", i+1, err, lines[i+1])
+		}
+		code, alone := postJSON(t, ts.URL+"/v1/simulate", r)
+		if code != http.StatusOK {
+			t.Fatalf("/v1/simulate %s: HTTP %d: %s", r, code, alone)
+		}
+		if got, want := string(line.Simulate), strings.TrimSpace(string(alone)); got != want {
+			t.Errorf("line %d differs from /v1 alone:\n got %s\nwant %s", i+1, got, want)
+		}
 	}
 }
 

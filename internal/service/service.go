@@ -152,7 +152,6 @@ type Server struct {
 	met      *metrics
 	adm      *admission
 	start    time.Time
-	compile  runner.CompileFunc // resolved Config.Compile (benchmark specs)
 	log      *slog.Logger
 	rec      *obs.Recorder // recent request span trees (may be nil)
 	reqID    atomic.Uint64 // request-ID counter for generated X-Request-Id values
@@ -199,12 +198,11 @@ func New(cfg Config) *Server {
 	}
 
 	s := &Server{
-		cfg:     cfg,
-		met:     newMetrics(),
-		adm:     newAdmission(cfg.MaxConcurrent, cfg.MaxQueue),
-		start:   time.Now(),
-		compile: cfg.Compile,
-		log:     cfg.Logger,
+		cfg:   cfg,
+		met:   newMetrics(),
+		adm:   newAdmission(cfg.MaxConcurrent, cfg.MaxQueue),
+		start: time.Now(),
+		log:   cfg.Logger,
 	}
 	if s.log == nil {
 		s.log = slog.New(slog.NewTextHandler(io.Discard, nil))
@@ -219,13 +217,14 @@ func New(cfg Config) *Server {
 		// latency histograms as it is recorded.
 		s.rec.OnRecord = s.met.observeSpans
 	}
-	if s.compile == nil {
-		s.compile = workload.CompileSpec
+	compile := cfg.Compile
+	if compile == nil {
+		compile = workload.CompileSpec
 	}
 	s.sess = session.New(
 		session.WithWorkers(cfg.Workers),
 		session.WithCacheCapacity(cfg.CacheCapacity),
-		session.WithCompile(s.compileFor(s.compile)),
+		session.WithCompile(s.compileFor(compile)),
 		session.WithStore(cfg.Store),
 	)
 	s.eng = s.sess.Engine()
@@ -668,6 +667,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		{name: "dvid_checkpoint_pool_reuse_total", help: "Sampling checkpoints served from the recycled-checkpoint pool.", value: float64(pool.CheckpointReuse), counter: true},
 		{name: "dvid_checkpoint_pool_fresh_total", help: "Sampling checkpoints that had to be freshly allocated.", value: float64(pool.CheckpointFresh), counter: true},
 		{name: "dvid_build_compiles_total", help: "Compile invocations (stays zero across a restart served from a warm artifact store).", value: float64(s.eng.Cache().Compiles()), counter: true},
+		{name: "dvid_job_panics_total", help: "Jobs whose panic was recovered into a job error (the process carried on).", value: float64(s.eng.Panics()), counter: true},
 	}
 	if st := s.eng.Store(); st != nil {
 		sst := st.Stats()

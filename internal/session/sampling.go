@@ -2,19 +2,13 @@ package session
 
 import (
 	"context"
-	"fmt"
-	"slices"
 
-	"dvi/internal/mem"
-	"dvi/internal/obs"
-	"dvi/internal/runner"
 	"dvi/internal/sample"
-	"dvi/internal/store"
 	"dvi/internal/workload"
 )
 
-// WithSampling switches Simulate (and jobs routed through CollectSampled)
-// from exact detailed simulation to statistical sampling: one fast
+// WithSampling switches Simulate from exact detailed simulation to
+// statistical sampling by setting the job's Sampling: one fast
 // functional pass captures checkpoints, the selected intervals are
 // simulated in detail as parallel jobs, and the result is an estimate
 // with a confidence interval. interval and warmup are in original
@@ -42,223 +36,12 @@ func WithSamplingOptions(opt sample.Options) RunOption {
 // WithSamplingOptions, or the defaults when absent.
 func (s *Session) SimulateSampled(ctx context.Context, w workload.Spec, opts ...RunOption) (sample.Estimate, error) {
 	rs := resolve(opts)
-	cfg := rs.machineConfig()
-	so := sample.Options{}
-	if rs.sampling != nil {
-		so = *rs.sampling
+	if rs.sampling == nil {
+		rs.sampling = &sample.Options{}
 	}
-	est, _, err := s.sampleJob(ctx, Job{
-		Label:    rs.label,
-		Workload: w,
-		Scale:    rs.scale,
-		Build:    rs.buildOptions(cfg.Emu.DVI.Level),
-		Kind:     runner.Timing,
-		Machine:  cfg,
-	}, so)
-	return est, err
-}
-
-// CollectSampled is Collect with every Timing job routed through the
-// statistical sampler under so: each Timing result carries the estimate
-// on Result.Sampled and the estimate rendered as machine stats on
-// Result.Timing, so figure renderers consume it unchanged. Non-Timing
-// jobs (functional, ctx-switch, build) and multi-context timing jobs
-// (the sampler's checkpoints restore one architectural state) run
-// exactly as in Collect, as one batch. Results are in submission order;
-// the first failure aborts everything.
-//
-// Timing jobs are sampled one at a time — each sampled run already fans
-// its interval jobs out across the whole worker pool — so the pool stays
-// busy without oversubscription.
-func (s *Session) CollectSampled(ctx context.Context, jobs []Job, so sample.Options) ([]Result, error) {
-	results := make([]Result, len(jobs))
-	var exact []Job
-	var exactIdx []int
-	for i, j := range jobs {
-		// Multi-context timing jobs run exactly: checkpointed sampling is
-		// single-context (Boot restores one architectural state).
-		if j.Kind == runner.Timing && j.Machine.ContextCount() == 1 {
-			est, res, err := s.sampleJob(ctx, j, so)
-			if err != nil {
-				return nil, err
-			}
-			estCopy := est
-			res.Sampled = &estCopy
-			res.Index = i
-			results[i] = res
-			continue
-		}
-		exact = append(exact, j)
-		exactIdx = append(exactIdx, i)
-	}
-	out, err := s.eng.Run(ctx, exact)
+	res, err := s.one(ctx, timingJob(w, rs))
 	if err != nil {
-		return nil, err
+		return sample.Estimate{}, err
 	}
-	for k, res := range out {
-		res.Index = exactIdx[k]
-		results[exactIdx[k]] = res
-	}
-	return results, nil
-}
-
-// maxSampleRounds bounds adaptive densification: starting from the
-// default period 8, five halvings reach period 1 (a full census), so more
-// rounds can never add coverage.
-const maxSampleRounds = 5
-
-// sampleJob runs one Timing job through the sampler: scan, per-interval
-// detailed jobs on the engine's pool, aggregate; repeat with a denser
-// selection while a TargetCI is unmet. The returned Result mirrors an
-// exact Timing result (Timing = the estimate rendered as machine stats).
-func (s *Session) sampleJob(ctx context.Context, j Job, so sample.Options) (sample.Estimate, Result, error) {
-	label := j.Label
-	if label == "" {
-		label = fmt.Sprintf("sampled %s", j.Workload.Key(j.Scale, j.Build))
-	}
-	fail := func(err error) (sample.Estimate, Result, error) {
-		return sample.Estimate{}, Result{}, fmt.Errorf("%s: %w", label, err)
-	}
-
-	ctx, span := obs.StartSpan(ctx, "sample")
-	if span != nil {
-		span.SetAttr("label", label)
-		defer span.End()
-	}
-
-	bctx, bspan := obs.StartSpan(ctx, "build")
-	pr, img, err := s.eng.Cache().Get(bctx, j.Workload, j.Scale, j.Build)
-	bspan.End()
-	if err != nil {
-		return fail(err)
-	}
-	opt := so
-	opt.MaxInsts = j.Machine.MaxInsts
-	opt = opt.WithDefaults()
-
-	// A persisted measured set for this exact plan reproduces the
-	// estimate bit-identically through the deterministic aggregation
-	// fold — no scan, no interval simulation.
-	planKey, planOK := s.samplePlanKey(j, opt)
-	if st := s.eng.Store(); st != nil && planOK {
-		if payload, ok := st.Get(store.SampledKind, planKey); ok {
-			if est, err := decodeSampledRecord(payload, opt); err == nil {
-				if span != nil {
-					span.SetAttr("store_hit", true)
-				}
-				return est, Result{Job: j, Program: pr, Image: img, Timing: est.Stats}, nil
-			}
-			// Undecodable despite a good checksum (version drift):
-			// fall through and re-measure.
-		}
-	}
-
-	// The pristine loaded image: the baseline every checkpoint's memory
-	// delta is taken against, matching the state Machine.Reset leaves a
-	// pooled machine's memory in.
-	base := mem.New()
-	img.LoadInto(base, pr.Data)
-
-	// Interval jobs must never truncate: RunUntil drives the measured
-	// region; the whole-program cap already shaped the scan.
-	mcfg := j.Machine
-	mcfg.MaxInsts = 0
-
-	scanner := sample.NewScanner()
-	measured := make(map[int]sample.IntervalResult)
-	var retained []*sample.Checkpoint
-	defer func() {
-		for _, ck := range retained {
-			s.eng.ReleaseCheckpoint(ck)
-		}
-	}()
-
-	var (
-		est     sample.Estimate
-		scan    sample.ScanResult
-		ordered []sample.IntervalResult
-	)
-	period := opt.Period
-	for round := 0; ; round++ {
-		_, sspan := obs.StartSpan(ctx, "scan")
-		em := s.eng.AcquireEmulator(pr, img, mcfg.Emu)
-		scan = scanner.Scan(em, base, mcfg, opt, func(idx int) bool {
-			if _, done := measured[idx]; done {
-				return false
-			}
-			return sample.Selected(idx, period, opt.Seed)
-		}, s.eng.AcquireCheckpoint)
-		s.eng.ReleaseEmulator(em)
-		if sspan != nil {
-			sspan.SetAttr("round", round)
-			sspan.SetAttr("checkpoints", len(scan.Checkpoints))
-			sspan.End()
-		}
-		retained = append(retained, scan.Checkpoints...)
-
-		var ivJobs []Job
-		for _, ck := range scan.Checkpoints {
-			if ck.MeasureLen == 0 {
-				continue
-			}
-			ivJobs = append(ivJobs, Job{
-				Label:    fmt.Sprintf("%s interval %d", label, ck.Index),
-				Workload: j.Workload,
-				Scale:    j.Scale,
-				Build:    j.Build,
-				Kind:     runner.SampledInterval,
-				Machine:  mcfg,
-				Sample:   ck,
-			})
-		}
-		out, err := s.eng.Run(ctx, ivJobs)
-		if err != nil {
-			return fail(err)
-		}
-		for _, r := range out {
-			measured[r.Interval.Index] = r.Interval
-		}
-
-		// Aggregate in interval order — a deterministic fold at any
-		// worker count.
-		keys := make([]int, 0, len(measured))
-		for idx := range measured {
-			keys = append(keys, idx)
-		}
-		slices.Sort(keys)
-		ordered = make([]sample.IntervalResult, len(keys))
-		for i, idx := range keys {
-			ordered[i] = measured[idx]
-		}
-		_, aspan := obs.StartSpan(ctx, "aggregate")
-		est, err = sample.Aggregate(scan, ordered, opt)
-		aspan.End()
-		if err != nil {
-			return fail(err)
-		}
-
-		enough := est.Measured >= 2
-		if opt.TargetCI > 0 {
-			enough = est.RelCI <= opt.TargetCI
-		}
-		if enough || est.Measured >= scan.Intervals || period <= 1 || round >= maxSampleRounds {
-			break
-		}
-		period /= 2
-	}
-
-	if st := s.eng.Store(); st != nil && planOK {
-		if payload, err := encodeSampledRecord(scan, ordered); err == nil {
-			// Best-effort durability; the store counts its own errors.
-			_ = st.Put(store.SampledKind, planKey, payload)
-		}
-	}
-
-	res := Result{
-		Job:     j,
-		Program: pr,
-		Image:   img,
-		Timing:  est.Stats,
-	}
-	return est, res, nil
+	return *res.Sampled, nil
 }

@@ -15,6 +15,11 @@
 // full DVI hardware, LVM-Stack elimination, and E-DVI annotated binaries
 // whenever the DVI level honours them.
 //
+// Every call is one or more engine jobs (runner.Job): a sampled
+// simulation is a Timing job with Sampling set, so Simulate,
+// SimulateSampled, Collect and Run all reach the sampler through the
+// same engine path as exact runs.
+//
 //	sess := session.New(session.WithWorkers(8))
 //	w, _ := workload.ByName("perl")
 //	stats, err := sess.Simulate(ctx, w, session.WithScale(2))
@@ -114,37 +119,11 @@ func (s *Session) Build(ctx context.Context, w workload.Spec, opts ...RunOption)
 // Simulate builds a workload (E-DVI annotations iff the machine's DVI
 // level honours them; see BuildOptionsFor) and runs it on the out-of-order
 // timing simulator, drawn from the session's machine pool. With
-// WithSampling the run goes through the statistical sampler instead and
+// WithSampling the job runs through the statistical sampler instead and
 // the returned stats are the estimate rendered in machine-stat shape
 // (SimulateSampled returns the estimate itself, CI included).
 func (s *Session) Simulate(ctx context.Context, w workload.Spec, opts ...RunOption) (ooo.Stats, error) {
-	rs := resolve(opts)
-	cfg := rs.machineConfig()
-	if err := cfg.CheckContexts(); err != nil {
-		return ooo.Stats{}, err
-	}
-	if rs.sampling != nil {
-		if cfg.ContextCount() > 1 {
-			return ooo.Stats{}, fmt.Errorf("session: sampling is single-context (Contexts=%d)", cfg.Contexts)
-		}
-		est, _, err := s.sampleJob(ctx, Job{
-			Label:    rs.label,
-			Workload: w,
-			Scale:    rs.scale,
-			Build:    rs.buildOptions(cfg.Emu.DVI.Level),
-			Kind:     runner.Timing,
-			Machine:  cfg,
-		}, *rs.sampling)
-		return est.Stats, err
-	}
-	res, err := s.one(ctx, Job{
-		Label:    rs.label,
-		Workload: w,
-		Scale:    rs.scale,
-		Build:    rs.buildOptions(cfg.Emu.DVI.Level),
-		Kind:     runner.Timing,
-		Machine:  cfg,
-	})
+	res, err := s.one(ctx, timingJob(w, resolve(opts)))
 	return res.Timing, err
 }
 
@@ -156,22 +135,26 @@ func (s *Session) Simulate(ctx context.Context, w workload.Spec, opts ...RunOpti
 // single-context, use Simulate/SimulateSampled for it.
 func (s *Session) SimulateContexts(ctx context.Context, w workload.Spec, opts ...RunOption) (ooo.Stats, []ooo.Stats, error) {
 	rs := resolve(opts)
-	cfg := rs.machineConfig()
-	if err := cfg.CheckContexts(); err != nil {
-		return ooo.Stats{}, nil, err
-	}
 	if rs.sampling != nil {
 		return ooo.Stats{}, nil, fmt.Errorf("session: SimulateContexts is exact; sampling is single-context (use Simulate)")
 	}
-	res, err := s.one(ctx, Job{
+	res, err := s.one(ctx, timingJob(w, rs))
+	return res.Timing, res.CtxStats, err
+}
+
+// timingJob freezes resolved settings into one Timing job, sampled iff
+// WithSampling was given.
+func timingJob(w workload.Spec, rs runSettings) Job {
+	cfg := rs.machineConfig()
+	return Job{
 		Label:    rs.label,
 		Workload: w,
 		Scale:    rs.scale,
 		Build:    rs.buildOptions(cfg.Emu.DVI.Level),
 		Kind:     runner.Timing,
 		Machine:  cfg,
-	})
-	return res.Timing, res.CtxStats, err
+		Sampling: rs.sampling,
+	}
 }
 
 // Emulate runs a workload on the functional reference emulator (drawn
@@ -229,7 +212,8 @@ func (s *Session) Run(ctx context.Context, jobs []Job, emit func(Result) error) 
 // order. Unlike Run it fails fast: the first job error cancels the rest
 // of the batch and is returned (wrapped with the job's label). Use it
 // when a batch is all-or-nothing — the experiment harness renders
-// figures only from complete grids.
+// figures only from complete grids. Sampled jobs (Job.Sampling) and
+// exact ones mix freely in one batch.
 func (s *Session) Collect(ctx context.Context, jobs []Job) ([]Result, error) {
 	return s.eng.Run(ctx, jobs)
 }

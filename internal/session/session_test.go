@@ -444,3 +444,74 @@ func TestEmulateMatchesFacadeConfig(t *testing.T) {
 		t.Fatalf("session Emulate stats differ from direct emulator:\n got %+v\nwant %+v", got, e.Stats)
 	}
 }
+
+// TestCollectRecoversCompilePanic pins panic containment: a compile
+// function that panics fails its job with a "panic:" error instead of
+// taking the process down; jobs waiting on the same in-flight build fail
+// too instead of waiting on it forever, and other builds still run.
+func TestCollectRecoversCompilePanic(t *testing.T) {
+	ctx := context.Background()
+	gate := make(chan struct{})
+	sess := session.New(session.WithWorkers(4), session.WithCompile(
+		func(s workload.Spec, scale int, opt workload.BuildOptions) (*prog.Program, *prog.Image, error) {
+			switch s.Name {
+			case "compress":
+				<-gate
+				fallthrough
+			case "li":
+				panic("compiler bug")
+			}
+			return workload.CompileSpec(s, scale, opt)
+		}))
+	job := func(name string) session.Job {
+		w, _ := workload.ByName(name)
+		return session.Job{Workload: w, Scale: 1, Kind: runner.Functional,
+			Emu: session.EmuConfigFor(core.Full, emu.ElimLVMStack)}
+	}
+
+	_, err := sess.Collect(ctx, []session.Job{job("li")})
+	if err == nil || !strings.Contains(err.Error(), "panic: compiler bug") {
+		t.Fatalf("Collect error = %v, want the recovered panic", err)
+	}
+	if _, err := sess.Collect(ctx, []session.Job{job("li")}); err == nil {
+		t.Error("a job on the panicked build succeeded")
+	}
+
+	// Four workers pick up four jobs on one build: one compiles, three
+	// join it in flight. Release the compile once all three have joined.
+	hits0, _ := sess.Cache().Stats()
+	go func() {
+		defer close(gate)
+		for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+			if hits, _ := sess.Cache().Stats(); hits-hits0 >= 3 {
+				return
+			}
+		}
+	}()
+	jobs := []session.Job{job("compress"), job("compress"), job("compress"), job("compress"), job("go")}
+	var got []session.Result
+	if err := sess.Run(ctx, jobs, func(res session.Result) error {
+		got = append(got, res)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	panicked := 0
+	for _, res := range got[:4] {
+		switch {
+		case res.Err == nil:
+			t.Errorf("job %d on the panicking build succeeded", res.Index)
+		case strings.Contains(res.Err.Error(), "panic: compiler bug"):
+			panicked++
+		}
+	}
+	if panicked != 1 {
+		t.Errorf("%d jobs carry the panic, want exactly the one that compiled", panicked)
+	}
+	if got[4].Err != nil || got[4].Func.Original() == 0 {
+		t.Errorf("job beside the panicking build: err %v", got[4].Err)
+	}
+	if n := sess.Engine().Panics(); n != 2 {
+		t.Errorf("Panics() = %d, want 2", n)
+	}
+}
