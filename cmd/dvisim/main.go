@@ -109,45 +109,35 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail("bad -fetch-policy %q (want round-robin or icount)", *fetchPol)
 	}
 
-	cfg := ooo.DefaultConfig()
-	cfg.PhysRegs = *regs
-	cfg.CachePorts = *ports
-	cfg.IssueWidth = *width
-	cfg.MaxInsts = *max
-	cfg.WrongPathFetch = *wrong
-	cfg.Contexts = *contexts
-	cfg.FetchPolicy = policy
-	cfg.Emu = session.EmuConfigFor(dviLevel, elim)
-	if err := cfg.CheckContexts(); err != nil {
-		return fail("%v (raise -regs: %d contexts need at least %d)", err, *contexts, 32**contexts+1)
-	}
-
 	var traceBuf *obs.PipeBuffer
+	cfg := ooo.DefaultConfig()
+	cfg.PhysRegs, cfg.CachePorts, cfg.IssueWidth, cfg.WrongPathFetch = *regs, *ports, *width, *wrong
 	if *pipetrace != "" {
 		traceBuf = obs.NewPipeBuffer(*traceMax)
 		cfg.Trace = traceBuf
 	}
 
-	// One session, one job: the binary flavour follows the session
-	// layer's central E-DVI rule (annotated binaries iff the level is
-	// full), and KeepMachine retains the simulator instance for the
-	// cache/predictor detail below.
-	sess := session.New(session.WithWorkers(1))
-	results, err := sess.Collect(context.Background(), []session.Job{{
-		Workload:    spec,
-		Scale:       *scale,
-		Build:       session.BuildOptionsFor(dviLevel),
-		Kind:        runner.Timing,
-		Machine:     cfg,
-		KeepMachine: true,
-	}})
+	// One session, one job, resolved and validated by session.NewJob:
+	// the binary flavour follows the session layer's central E-DVI rule
+	// (annotated binaries iff the level is full), and KeepMachine
+	// retains the simulator instance for the cache/predictor detail
+	// below.
+	job, err := session.NewJob(runner.Timing, spec,
+		session.WithScale(*scale), session.WithMachineConfig(cfg),
+		session.WithDVILevel(dviLevel), session.WithScheme(elim), session.WithMaxInsts(*max),
+		session.WithContexts(*contexts), session.WithFetchPolicy(policy))
+	if err != nil {
+		return fail("%v (check -regs, -ports, -width and -contexts)", err)
+	}
+	job.KeepMachine = true
+	results, err := session.New(session.WithWorkers(1)).Collect(context.Background(), []session.Job{job})
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 1
 	}
 	st, m := results[0].Timing, results[0].Machine
 
-	fmt.Fprintf(stdout, "benchmark        %s (scale %d, %s, scheme %s)\n", spec.Name, *scale, cfg.Emu.DVI.Level, cfg.Emu.Scheme)
+	fmt.Fprintf(stdout, "benchmark        %s (scale %d, %s, scheme %s)\n", spec.Name, *scale, job.Machine.Emu.DVI.Level, job.Machine.Emu.Scheme)
 	if *contexts > 1 {
 		fmt.Fprintf(stdout, "contexts         %d (%s fetch)\n", *contexts, policy)
 	}
@@ -159,7 +149,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "mispredicts      %d (wrong-path insts %d)\n", st.Mispredicts, st.WrongPath)
 	fmt.Fprintf(stdout, "stall cycles     rename %d, window %d, ports %d\n",
 		st.RenameStallCycles, st.WindowFullCycles, st.PortStallCycles)
-	fmt.Fprintf(stdout, "phys regs in use max %d of %d\n", st.MaxPhysInUse, cfg.PhysRegs)
+	fmt.Fprintf(stdout, "phys regs in use max %d of %d\n", st.MaxPhysInUse, *regs)
 	h := m.Hierarchy()
 	fmt.Fprintf(stdout, "caches           il1 %.2f%% miss, dl1 %.2f%% miss, l2 %.2f%% miss\n",
 		100*h.L1I.Stats.MissRate(), 100*h.L1D.Stats.MissRate(), 100*h.L2.Stats.MissRate())

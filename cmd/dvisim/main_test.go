@@ -22,7 +22,13 @@ func TestFlagValidation(t *testing.T) {
 		{"unknown benchmark", []string{"-bench", "spice"}, "unknown benchmark \"spice\""},
 		{"unknown dvi level", []string{"-dvi", "max"}, "bad -dvi \"max\""},
 		{"unknown scheme", []string{"-scheme", "magic"}, "bad -scheme \"magic\""},
-		{"regfile too small for contexts", []string{"-contexts", "4"}, "raise -regs"},
+		{"regfile too small for contexts", []string{"-contexts", "4"}, "4 contexts need at least 129 physical registers"},
+		// Machine flags the simulator cannot run fail as usage errors
+		// before any simulation, not as a deadlocked run.
+		{"zero ports", []string{"-ports", "0"}, "cache ports 0 < 1"},
+		{"negative ports", []string{"-ports", "-1"}, "cache ports -1 < 1"},
+		{"zero width", []string{"-width", "0"}, "issue width 0 < 1"},
+		{"negative width", []string{"-width", "-1"}, "issue width -1 < 1"},
 		{"unparseable flag", []string{"-contexts", "two"}, "invalid value"},
 	}
 	for _, c := range cases {

@@ -38,6 +38,35 @@ func fastConfig(backends []string, local *service.Server) gateway.Config {
 	}
 }
 
+// pinnedRoutes routes fixed logical backend hosts to httptest servers'
+// random loopback ports. The hash ring places route keys by backend URL,
+// so logical URLs keep the placement — which backend is primary for
+// which job — the same on every run, whatever ports the servers got.
+type pinnedRoutes map[string]string
+
+func (p pinnedRoutes) RoundTrip(req *http.Request) (*http.Response, error) {
+	addr, ok := p[req.URL.Host]
+	if !ok {
+		return nil, fmt.Errorf("no route to backend %q", req.URL.Host)
+	}
+	r := req.Clone(req.Context())
+	r.URL.Host = addr
+	return http.DefaultTransport.RoundTrip(r)
+}
+
+// pin names servers "http://backend-<i>.test" in order and returns those
+// URLs with the transport that routes them.
+func pin(servers ...*httptest.Server) ([]string, http.RoundTripper) {
+	routes := pinnedRoutes{}
+	urls := make([]string, len(servers))
+	for i, srv := range servers {
+		host := fmt.Sprintf("backend-%d.test", i)
+		routes[host] = strings.TrimPrefix(srv.URL, "http://")
+		urls[i] = "http://" + host
+	}
+	return urls, routes
+}
+
 func post(t *testing.T, url, body string) (int, http.Header, []byte) {
 	t.Helper()
 	return call(t, http.MethodPost, url, body)
@@ -443,7 +472,10 @@ func TestGatewayHedgesSlowBackend(t *testing.T) {
 	defer fast.Close()
 
 	local := service.New(service.Config{})
-	gw, err := gateway.New(fastConfig([]string{slow.URL, fast.URL}, local))
+	urls, route := pin(slow, fast)
+	cfg := fastConfig(urls, local)
+	cfg.Transport = route
+	gw, err := gateway.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -594,7 +626,9 @@ func TestGatewayChaos(t *testing.T) {
 	defer steady.Close()
 
 	local := service.New(service.Config{})
-	cfg := fastConfig([]string{victim.URL, hanger.URL, steady.URL}, local)
+	urls, route := pin(victim, hanger, steady)
+	cfg := fastConfig(urls, local)
+	cfg.Transport = route
 	cfg.RequestTimeout = 2 * time.Second // hangs must not stall the batch
 	gw, err := gateway.New(cfg)
 	if err != nil {

@@ -74,7 +74,7 @@ type Config struct {
 	// (0 or 1 = the single-context machine). Each context runs its own
 	// copy of the program in its own address space and rename map; the
 	// window, physical register file, caches and predictor are shared.
-	// PhysRegs must be at least Contexts*32+1 (CheckContexts).
+	// PhysRegs must be at least Contexts*32+1 (Validate).
 	Contexts int
 	// FetchPolicy arbitrates fetch among contexts (Contexts > 1 only).
 	FetchPolicy FetchPolicy
@@ -151,12 +151,15 @@ func (c Config) ContextCount() int {
 	return c.Contexts
 }
 
-// CheckContexts validates the context configuration: a front door (CLI,
-// service, session) calls it to reject impossible machines with an error
-// instead of letting Machine construction panic. Each context pins 32
-// physical registers for its architectural state, so PhysRegs must leave
-// at least one register to rename.
-func (c Config) CheckContexts() error {
+// Validate rejects a machine the simulator cannot build or run, with an
+// error instead of a constructor panic or a run that deadlocks: every
+// front door (Session, service, CLI) and the engine call it before a
+// machine is sized from the config. Each context pins 32 physical
+// registers for its architectural state, so PhysRegs must leave at least
+// one register to rename; every pipeline width, queue and unit count
+// must be at least 1; and the LVM-Stack depth must fit the tracker
+// (0 picks the default).
+func (c Config) Validate() error {
 	if c.Contexts < 0 {
 		return fmt.Errorf("ooo: contexts %d < 0", c.Contexts)
 	}
@@ -164,6 +167,24 @@ func (c Config) CheckContexts() error {
 	if need := n*rename.NumArch + 1; c.PhysRegs < need {
 		return fmt.Errorf("ooo: %d contexts need at least %d physical registers, have %d",
 			n, need, c.PhysRegs)
+	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"issue width", c.IssueWidth},
+		{"window size", c.WindowSize},
+		{"fetch queue size", c.IFQSize},
+		{"integer ALUs", c.IntALUs},
+		{"integer mul/div units", c.IntMulDiv},
+		{"cache ports", c.CachePorts},
+	} {
+		if f.v < 1 {
+			return fmt.Errorf("ooo: %s %d < 1", f.name, f.v)
+		}
+	}
+	if d := c.Emu.DVI.StackDepth; d < 0 || d > core.MaxStackDepth {
+		return fmt.Errorf("ooo: stack depth %d outside [0, %d]", d, core.MaxStackDepth)
 	}
 	return nil
 }

@@ -1,8 +1,10 @@
 package ooo
 
 import (
+	"strings"
 	"testing"
 
+	"dvi/internal/core"
 	"dvi/internal/emu"
 	"dvi/internal/obs"
 	"dvi/internal/workload"
@@ -421,22 +423,50 @@ func TestContextsExceedL1IAssoc(t *testing.T) {
 	}
 }
 
-// TestCheckContexts covers the front-door validation.
-func TestCheckContexts(t *testing.T) {
+// TestValidate covers the front-door machine validation: the context
+// and register-file check, the lower bounds that used to deadlock or
+// panic a run, and the LVM-Stack depth range.
+func TestValidate(t *testing.T) {
 	cfg := DefaultConfig()
-	if err := cfg.CheckContexts(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		t.Fatalf("default config rejected: %v", err)
 	}
 	cfg.Contexts = -1
-	if err := cfg.CheckContexts(); err == nil {
+	if err := cfg.Validate(); err == nil {
 		t.Fatal("negative contexts accepted")
 	}
 	cfg.Contexts = 4 // 4*32+1 = 129 > default 96 registers
-	if err := cfg.CheckContexts(); err == nil {
+	if err := cfg.Validate(); err == nil {
 		t.Fatal("4 contexts on 96 registers accepted")
 	}
 	cfg.PhysRegs = 192
-	if err := cfg.CheckContexts(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		t.Fatalf("4 contexts on 192 registers rejected: %v", err)
+	}
+
+	for _, c := range []struct {
+		name string
+		edit func(*Config)
+	}{
+		{"issue width", func(c *Config) { c.IssueWidth = 0 }},
+		{"window size", func(c *Config) { c.WindowSize = -1 }},
+		{"fetch queue size", func(c *Config) { c.IFQSize = 0 }},
+		{"integer ALUs", func(c *Config) { c.IntALUs = -1 }},
+		{"integer mul/div units", func(c *Config) { c.IntMulDiv = 0 }},
+		{"cache ports", func(c *Config) { c.CachePorts = 0 }},
+		{"stack depth", func(c *Config) { c.Emu.DVI.StackDepth = -1 }},
+		{"stack depth", func(c *Config) { c.Emu.DVI.StackDepth = core.MaxStackDepth + 1 }},
+	} {
+		cfg := DefaultConfig()
+		c.edit(&cfg)
+		err := cfg.Validate()
+		if err == nil || !strings.Contains(err.Error(), c.name) {
+			t.Errorf("%s: Validate() = %v, want an error naming it", c.name, err)
+		}
+	}
+	cfg = DefaultConfig()
+	cfg.Emu.DVI.StackDepth = 0 // the tracker's default depth
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("stack depth 0 rejected: %v", err)
 	}
 }

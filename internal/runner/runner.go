@@ -519,6 +519,14 @@ func (e *Engine) runJob(ctx context.Context, j Job, queueWait time.Duration) (re
 		}
 	}()
 
+	if j.Kind == Timing {
+		// A machine the simulator cannot size or run fails here, before
+		// the build, not as a constructor panic or a deadlocked run.
+		if err := j.Machine.Validate(); err != nil {
+			return Result{Job: j}, err
+		}
+	}
+
 	bctx, bspan := obs.StartSpan(ctx, "build")
 	var (
 		pr  *prog.Program
@@ -537,9 +545,6 @@ func (e *Engine) runJob(ctx context.Context, j Job, queueWait time.Duration) (re
 	}
 	res = Result{Job: j, Program: pr, Image: img}
 	if j.sampled() {
-		if err := j.Machine.CheckContexts(); err != nil {
-			return res, err
-		}
 		est, err := e.runSampled(ctx, j, pr, img)
 		if err != nil {
 			return res, err
@@ -551,9 +556,6 @@ func (e *Engine) runJob(ctx context.Context, j Job, queueWait time.Duration) (re
 	defer kspan.End()
 	switch j.Kind {
 	case Timing:
-		if err := j.Machine.CheckContexts(); err != nil {
-			return res, err
-		}
 		m := e.getMachine(pr, img, j.Machine)
 		st, err := m.Run()
 		if err != nil {

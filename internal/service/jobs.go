@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"strings"
 
-	"dvi/internal/core"
 	"dvi/internal/ctxswitch"
 	"dvi/internal/emu"
 	"dvi/internal/isa"
@@ -17,7 +16,6 @@ import (
 	"dvi/internal/ooo"
 	"dvi/internal/prog"
 	"dvi/internal/runner"
-	"dvi/internal/sample"
 	"dvi/internal/session"
 	"dvi/internal/workload"
 )
@@ -80,57 +78,40 @@ func (s *Server) prepareJob(jr JobRequest) (*preparedJob, error) {
 	return nil, fmt.Errorf("unknown job kind %q (want simulate, ctxswitch or annotate)", jr.Kind)
 }
 
-// simSource is the validated (source, flavour, emulator-config) triple
-// shared by timing and context-switch requests — one place derives the
-// binary flavour for both, so the rule cannot drift between kinds.
-type simSource struct {
-	spec  workload.Spec
-	scale int
-	bopt  workload.BuildOptions
-	ecfg  emu.Config
-}
-
-// resolveSimSource validates the knobs every simulation-class request
-// carries (source, dvi_level, scheme, policy, edvi, infer) in the wire
-// format's canonical order, and derives the binary flavour through the
-// session layer's central E-DVI rule: annotated binaries iff the DVI
-// level is full, client assembly runs as written, an explicit edvi field
-// wins. The infer flag swaps the annotation engine for the
-// interprocedural inference pass; it needs no compiler hints, so it
-// applies to submitted assembly too — and like E-DVI it is effective
-// only when the hardware honours explicit annotations (level full).
-func (s *Server) resolveSimSource(wl, asm string, reqScale int, dviLevel, scheme, policy string, edvi *bool, infer bool) (simSource, error) {
+// jobOptions parses the knobs every simulation-class request carries
+// (source, dvi_level, scheme, policy, edvi, infer), in the wire format's
+// canonical order, into the workload, the emulator config for the level
+// and scheme, and the run options session.NewJob resolves — the binary
+// flavour is NewJob's rule, not the service's. Submitted assembly runs
+// exactly as written unless the client sets edvi.
+func (s *Server) jobOptions(wl, asm string, reqScale int, dviLevel, scheme, policy string, edvi *bool, infer bool) (workload.Spec, emu.Config, []session.RunOption, error) {
 	spec, scale, err := s.resolveSource(wl, asm, reqScale)
 	if err != nil {
-		return simSource{}, err
+		return spec, emu.Config{}, nil, err
 	}
 	level, err := parseLevel(dviLevel)
 	if err != nil {
-		return simSource{}, err
+		return spec, emu.Config{}, nil, err
 	}
 	sch, err := parseScheme(scheme)
 	if err != nil {
-		return simSource{}, err
+		return spec, emu.Config{}, nil, err
 	}
 	pol, err := parsePolicy(policy)
 	if err != nil {
-		return simSource{}, err
+		return spec, emu.Config{}, nil, err
 	}
-	bopt := session.BuildOptionsFor(level)
-	bopt.Policy = pol
+	opts := []session.RunOption{session.WithScale(scale), session.WithPolicy(pol)}
 	if asm != "" {
-		// Submitted assembly runs exactly as written unless the client
-		// asks the daemon to annotate it.
-		bopt.EDVI = false
+		opts = append(opts, session.WithEDVI(false))
 	}
 	if edvi != nil {
-		bopt.EDVI = *edvi
+		opts = append(opts, session.WithEDVI(*edvi))
 	}
-	if infer && level == core.Full {
-		bopt.Infer = true
-		bopt.EDVI = false
+	if infer {
+		opts = append(opts, session.WithInferredDVI())
 	}
-	return simSource{spec: spec, scale: scale, bopt: bopt, ecfg: session.EmuConfigFor(level, sch)}, nil
+	return spec, session.EmuConfigFor(level, sch), opts, nil
 }
 
 // renderTrace shapes a finished run's pipeline buffer into the wire
@@ -153,37 +134,39 @@ func renderTrace(buf *obs.PipeBuffer, format string) (*TraceSummary, error) {
 	return ts, nil
 }
 
-// prepareSimulate validates a timing-simulation request and freezes it
-// into an engine job.
+// prepareSimulate parses a timing-simulation request, applies the
+// server's limits and freezes it into an engine job through
+// session.NewJob, which validates the machine and any sampling plan.
 func (s *Server) prepareSimulate(req *SimulateRequest) (*preparedJob, error) {
-	src, err := s.resolveSimSource(req.Workload, req.Asm, req.Scale, req.DVILevel, req.Scheme, req.Policy, req.EDVI, req.Infer)
+	spec, ecfg, opts, err := s.jobOptions(req.Workload, req.Asm, req.Scale, req.DVILevel, req.Scheme, req.Policy, req.EDVI, req.Infer)
 	if err != nil {
 		return nil, err
 	}
-	spec, scale, bopt := src.spec, src.scale, src.bopt
-
+	// The level and scheme travel inside the machine config: an explicit
+	// WithDVILevel would replace the whole DVI block, stack depth too.
 	cfg := ooo.DefaultConfig()
-	cfg.Emu = src.ecfg
+	cfg.Emu = ecfg
 	if err := req.Machine.apply(&cfg); err != nil {
 		return nil, err
 	}
 	cfg.MaxInsts = s.clampInsts(req.MaxInsts)
-
 	if req.Contexts > s.cfg.MaxContexts {
 		return nil, fmt.Errorf("contexts %d exceeds the %d-context limit", req.Contexts, s.cfg.MaxContexts)
 	}
-	fp, err := parseFetchPolicy(req.FetchPolicy)
-	if err != nil {
+	if cfg.FetchPolicy, err = parseFetchPolicy(req.FetchPolicy); err != nil {
 		return nil, err
 	}
 	cfg.Contexts = req.Contexts
-	cfg.FetchPolicy = fp
-	if err := cfg.CheckContexts(); err != nil {
+	opts = append(opts, session.WithMachineConfig(cfg))
+	if sp := req.Sampling; sp != nil {
+		opts = append(opts, session.WithSampling(sp.Interval, sp.Warmup, sp.TargetCI))
+	}
+	job, err := session.NewJob(runner.Timing, spec, opts...)
+	if err != nil {
 		return nil, err
 	}
-	if cfg.ContextCount() > 1 && req.Sampling != nil {
-		return nil, fmt.Errorf("sampling is single-context (contexts=%d): checkpoints restore one architectural state", req.Contexts)
-	}
+	key := spec.Key(job.Scale, job.Build).String()
+	job.Label = "simulate " + key
 
 	var traceBuf *obs.PipeBuffer
 	traceFormat := ""
@@ -207,25 +190,9 @@ func (s *Server) prepareSimulate(req *SimulateRequest) (*preparedJob, error) {
 			limit = s.cfg.MaxTraceRecords
 		}
 		traceBuf = obs.NewPipeBuffer(limit)
-		cfg.Trace = traceBuf
+		job.Machine.Trace = traceBuf
 	}
 
-	key := spec.Key(scale, bopt).String()
-	job := runner.Job{
-		Label:    "simulate " + key,
-		Workload: spec,
-		Scale:    scale,
-		Build:    bopt,
-		Kind:     runner.Timing,
-		Machine:  cfg,
-	}
-	if req.Sampling != nil {
-		job.Sampling = &sample.Options{
-			Interval: req.Sampling.Interval,
-			Warmup:   req.Sampling.Warmup,
-			TargetCI: req.Sampling.TargetCI,
-		}
-	}
 	return &preparedJob{
 		kind: "simulate",
 		job:  job,
@@ -234,9 +201,9 @@ func (s *Server) prepareSimulate(req *SimulateRequest) (*preparedJob, error) {
 			s.met.observeSim(st)
 			line.Simulate = &SimulateResponse{
 				Workload: spec.Name,
-				Scale:    scale,
+				Scale:    job.Scale,
 				BuildKey: key,
-				MaxInsts: cfg.MaxInsts,
+				MaxInsts: job.Machine.MaxInsts,
 				IPC:      st.IPC(),
 				Stats:    st,
 				CtxStats: res.CtxStats,
@@ -272,31 +239,29 @@ func (s *Server) prepareSimulate(req *SimulateRequest) (*preparedJob, error) {
 	}, nil
 }
 
-// prepareCtxSwitch validates a context-switch sampling request.
+// prepareCtxSwitch parses a context-switch sampling request into an
+// engine job through session.NewJob.
 func (s *Server) prepareCtxSwitch(req *CtxSwitchRequest) (*preparedJob, error) {
-	src, err := s.resolveSimSource(req.Workload, req.Asm, req.Scale, req.DVILevel, req.Scheme, req.Policy, req.EDVI, req.Infer)
+	spec, ecfg, opts, err := s.jobOptions(req.Workload, req.Asm, req.Scale, req.DVILevel, req.Scheme, req.Policy, req.EDVI, req.Infer)
 	if err != nil {
 		return nil, err
 	}
-	spec, scale, bopt, ecfg := src.spec, src.scale, src.bopt, src.ecfg
-
-	key := spec.Key(scale, bopt).String()
+	job, err := session.NewJob(runner.CtxSwitch, spec, append(opts,
+		session.WithEmulatorConfig(ecfg),
+		session.WithMaxInsts(s.clampInsts(req.MaxInsts)),
+		session.WithInterval(req.Interval))...)
+	if err != nil {
+		return nil, err
+	}
+	key := spec.Key(job.Scale, job.Build).String()
+	job.Label = "ctxswitch " + key
 	return &preparedJob{
 		kind: "ctxswitch",
-		job: runner.Job{
-			Label:     "ctxswitch " + key,
-			Workload:  spec,
-			Scale:     scale,
-			Build:     bopt,
-			Kind:      runner.CtxSwitch,
-			Emu:       ecfg,
-			EmuBudget: s.clampInsts(req.MaxInsts),
-			Interval:  req.Interval,
-		},
+		job:  job,
 		render: func(res runner.Result, line *JobResult) {
 			line.CtxSwitch = &CtxSwitchResponse{
 				Workload: spec.Name,
-				Scale:    scale,
+				Scale:    job.Scale,
 				BuildKey: key,
 				SaveSet:  ctxswitch.SaveSet,
 				Result:   res.Switch,

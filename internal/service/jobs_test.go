@@ -4,17 +4,23 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"dvi"
+	"dvi/internal/core"
 	"dvi/internal/ctxswitch"
+	"dvi/internal/emu"
 	"dvi/internal/isa"
+	"dvi/internal/ooo"
 	"dvi/internal/prog"
 	"dvi/internal/rewrite"
 	"dvi/internal/sample"
@@ -147,6 +153,113 @@ func goldenAnnotate(t *testing.T) service.AnnotateResponse {
 	}
 }
 
+// compileDirect builds one flavour of spec without the service or the
+// session: a benchmark through workload.CompileSpec, submitted assembly
+// parsed and linked as written (the only flavour the golden rows ask of
+// it).
+func compileDirect(t *testing.T, spec workload.Spec, bopt workload.BuildOptions) (*prog.Program, *prog.Image) {
+	t.Helper()
+	if spec.Asm == "" {
+		pr, img, err := workload.CompileSpec(spec, 1, bopt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pr, img
+	}
+	if bopt.EDVI || bopt.Infer {
+		t.Fatalf("compileDirect: asm golden rows run plain, got %+v", bopt)
+	}
+	pr, err := prog.ParseAsm(spec.Asm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, err := pr.Link()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pr, img
+}
+
+// goldenMachine computes the expected /v1/simulate response for one
+// flavour on one machine by running the timing simulator directly.
+func goldenMachine(t *testing.T, spec workload.Spec, bopt workload.BuildOptions, cfg ooo.Config) service.SimulateResponse {
+	t.Helper()
+	pr, img := compileDirect(t, spec, bopt)
+	m := ooo.New(pr, img, cfg)
+	st, err := m.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp := service.SimulateResponse{
+		Workload: spec.Name,
+		Scale:    1,
+		BuildKey: spec.Key(1, bopt).String(),
+		MaxInsts: cfg.MaxInsts,
+		IPC:      st.IPC(),
+		Stats:    st,
+	}
+	if m.Contexts() > 1 {
+		resp.CtxStats = m.CtxStats()
+	}
+	return resp
+}
+
+// goldenMachineFor is goldenMachine on the paper machine at one DVI
+// level and scheme, edited by tweak, over maxInsts instructions.
+func goldenMachineFor(t *testing.T, name string, bopt workload.BuildOptions, level core.Level, scheme emu.Scheme, maxInsts uint64, tweak func(*ooo.Config)) service.SimulateResponse {
+	t.Helper()
+	spec, _ := workload.ByName(name)
+	cfg := ooo.DefaultConfig()
+	cfg.Emu = session.EmuConfigFor(level, scheme)
+	cfg.MaxInsts = maxInsts
+	if tweak != nil {
+		tweak(&cfg)
+	}
+	return goldenMachine(t, spec, bopt, cfg)
+}
+
+// goldenCtxSwitchAt computes the expected /v1/ctxswitch response for li
+// (interval 97, 100k insts) at one DVI level on a plain build.
+func goldenCtxSwitchAt(t *testing.T, level core.Level) service.CtxSwitchResponse {
+	t.Helper()
+	spec, _ := workload.ByName("li")
+	bopt := workload.BuildOptions{}
+	pr, img := compileDirect(t, spec, bopt)
+	res, err := ctxswitch.Measure(pr, img, session.EmuConfigFor(level, emu.ElimLVMStack), 97, 100_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return service.CtxSwitchResponse{
+		Workload: "li",
+		Scale:    1,
+		BuildKey: spec.Key(1, bopt).String(),
+		SaveSet:  ctxswitch.SaveSet,
+		Result:   res,
+	}
+}
+
+// goldenAsm is a small client program for the asm-source golden row.
+const goldenAsm = `.entry main
+.proc main
+  addi t0, zero, 50
+loop:
+  addi t0, t0, -1
+  bne t0, zero, loop
+  sys zero, t0
+  ret
+`
+
+// goldenAsmSimulate computes the expected /v1/simulate response for
+// goldenAsm: a content-addressed spec, run exactly as written.
+func goldenAsmSimulate(t *testing.T) service.SimulateResponse {
+	t.Helper()
+	sum := sha256.Sum256([]byte(goldenAsm))
+	spec := workload.Spec{Name: "asm:" + hex.EncodeToString(sum[:12]), Asm: goldenAsm}
+	cfg := ooo.DefaultConfig()
+	cfg.MaxInsts = 10_000
+	return goldenMachine(t, spec, workload.BuildOptions{}, cfg)
+}
+
 // TestV1GoldenShims is the satellite golden test: after the /v1 endpoints
 // became shims over the /v2 execution path, every response must remain
 // byte-identical to the library-derived wire format — and the /v2 batch
@@ -168,6 +281,33 @@ func TestV1GoldenShims(t *testing.T) {
 			`{"workload":"li","interval":97,"max_insts":100000}`, goldenCtxSwitch(t)},
 		{"annotate", "/v1/annotate", "annotate",
 			`{"workload":"li"}`, goldenAnnotate(t)},
+
+		// One row per knob of the job description, each derived by
+		// building the flavour and running the machine directly.
+		{"idvi lvm", "/v1/simulate", "simulate",
+			`{"workload":"li","max_insts":50000,"dvi_level":"idvi","scheme":"lvm"}`,
+			goldenMachineFor(t, "li", workload.BuildOptions{}, core.IDVI, emu.ElimLVM, 50_000, nil)},
+		{"none off", "/v1/simulate", "simulate",
+			`{"workload":"li","max_insts":50000,"dvi_level":"none","scheme":"off"}`,
+			goldenMachineFor(t, "li", workload.BuildOptions{}, core.None, emu.ElimOff, 50_000, nil)},
+		{"stack depth and ports", "/v1/simulate", "simulate",
+			`{"workload":"li","max_insts":50000,"machine":{"stack_depth":4,"cache_ports":1}}`,
+			goldenMachineFor(t, "li", workload.BuildOptions{EDVI: true}, core.Full, emu.ElimLVMStack, 50_000,
+				func(c *ooo.Config) { c.Emu.DVI.StackDepth, c.CachePorts = 4, 1 })},
+		{"edvi off at-death", "/v1/simulate", "simulate",
+			`{"workload":"li","max_insts":50000,"edvi":false,"policy":"at-death"}`,
+			goldenMachineFor(t, "li", workload.BuildOptions{Policy: rewrite.KillsAtDeath}, core.Full, emu.ElimLVMStack, 50_000, nil)},
+		{"infer", "/v1/simulate", "simulate",
+			`{"workload":"li","max_insts":50000,"infer":true}`,
+			goldenMachineFor(t, "li", workload.BuildOptions{Infer: true}, core.Full, emu.ElimLVMStack, 50_000, nil)},
+		{"two contexts", "/v1/simulate", "simulate",
+			`{"workload":"li","max_insts":30000,"contexts":2,"fetch_policy":"icount","machine":{"phys_regs":128}}`,
+			goldenMachineFor(t, "li", workload.BuildOptions{EDVI: true}, core.Full, emu.ElimLVMStack, 30_000,
+				func(c *ooo.Config) { c.Contexts, c.FetchPolicy, c.PhysRegs = 2, ooo.FetchICOUNT, 128 })},
+		{"asm", "/v1/simulate", "simulate",
+			`{"asm":` + strconv.Quote(goldenAsm) + `,"max_insts":10000}`, goldenAsmSimulate(t)},
+		{"ctxswitch idvi", "/v1/ctxswitch", "ctxswitch",
+			`{"workload":"li","interval":97,"max_insts":100000,"dvi_level":"idvi"}`, goldenCtxSwitchAt(t, core.IDVI)},
 	}
 
 	for _, c := range cases {

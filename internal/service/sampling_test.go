@@ -107,6 +107,36 @@ func TestSimulateSamplingEndpoint(t *testing.T) {
 	}
 }
 
+// TestSamplingPlanBoundedAtTheDoor pins the sampled-plan bound: a
+// sampling interval that splits the budget into thousands of intervals
+// (at interval 10 and 200k instructions the sampler once retained
+// about 1.4 GB of checkpoints) is a 400 naming sampling.interval on /v1
+// and rejects a /v2 batch, in the prepare step — nothing compiles or
+// runs — and the daemon stays healthy.
+func TestSamplingPlanBoundedAtTheDoor(t *testing.T) {
+	svc := service.New(service.Config{})
+	ts := httptest.NewServer(svc)
+	defer ts.Close()
+
+	const poison = `{"workload":"li","max_insts":200000,"sampling":{"interval":10}}`
+	code, body := postJSON(t, ts.URL+"/v1/simulate", poison)
+	if code != http.StatusBadRequest || !strings.Contains(string(body), "sampling.interval 10") {
+		t.Fatalf("/v1: HTTP %d %s, want a 400 naming sampling.interval", code, body)
+	}
+	code, body = postJSON(t, ts.URL+"/v2/jobs", `{"jobs":[
+		{"kind":"annotate","annotate":{"workload":"li"}},
+		{"kind":"simulate","simulate":`+poison+`}]}`)
+	if code != http.StatusBadRequest || !strings.Contains(string(body), "jobs[1]: sampling.interval 10") {
+		t.Fatalf("/v2: HTTP %d %s, want the batch rejected at jobs[1]", code, body)
+	}
+	if _, misses := svc.Engine().Cache().Stats(); misses != 0 {
+		t.Fatalf("rejected requests compiled %d binaries, want 0", misses)
+	}
+	if code, body := getBody(t, ts.URL+"/healthz"); code != http.StatusOK || !strings.Contains(string(body), `"status":"ok"`) {
+		t.Fatalf("/healthz after the poison request: HTTP %d %s", code, body)
+	}
+}
+
 // TestJobsBatchWithSampling runs a /v2/jobs batch mixing a sampled
 // simulate, an exact simulate and an annotate: lines stream in
 // submission order, only the sampled line carries a summary, and both

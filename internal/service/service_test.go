@@ -492,6 +492,9 @@ func TestRequestValidation(t *testing.T) {
 		{"negative stack_depth", "/v1/simulate", `{"workload":"li","machine":{"stack_depth":-1}}`, 400, "machine.stack_depth"},
 		{"negative issue_width", "/v1/simulate", `{"workload":"li","machine":{"issue_width":-4}}`, 400, "machine.issue_width"},
 		{"negative mul_latency", "/v1/simulate", `{"workload":"li","machine":{"mul_latency":-3}}`, 400, "machine.mul_latency"},
+		// Validate's range for the LVM-Stack: a depth the tracker cannot
+		// hold used to panic a runner worker.
+		{"stack_depth over range", "/v1/simulate", `{"workload":"li","machine":{"stack_depth":65}}`, 400, "stack depth 65 outside [0, 64]"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

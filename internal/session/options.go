@@ -146,7 +146,7 @@ func WithMaxInsts(n uint64) RunOption {
 // machine runs (default: the machine config's own Contexts, usually 1 —
 // the single-context paper machine). Each context runs its own copy of
 // the workload through one shared core. The physical register file must
-// hold at least Contexts*32+1 registers (ooo.Config.CheckContexts);
+// hold at least Contexts*32+1 registers (ooo.Config.Validate);
 // incompatible with WithSampling (checkpointing is single-context).
 func WithContexts(n int) RunOption {
 	return func(rs *runSettings) { rs.contexts, rs.contextsSet = n, true }

@@ -6,6 +6,8 @@ import (
 	"dvi/internal/core"
 	"dvi/internal/emu"
 	"dvi/internal/ooo"
+	"dvi/internal/runner"
+	"dvi/internal/workload"
 )
 
 // TestOverlayPreservesEmulatorKnobs pins the documented option-layering
@@ -14,12 +16,16 @@ import (
 // elimination scheme — never the config's other knobs (CheckDeadReads,
 // MaxOutputs, a customized stack depth).
 func TestOverlayPreservesEmulatorKnobs(t *testing.T) {
+	w, _ := workload.ByName("li")
 	base := ooo.DefaultConfig()
 	base.Emu.CheckDeadReads = true
 	base.Emu.MaxOutputs = 7
 
-	rs := resolve([]RunOption{WithMachineConfig(base), WithScheme(emu.ElimOff)})
-	got := rs.machineConfig()
+	job, err := NewJob(runner.Timing, w, WithMachineConfig(base), WithScheme(emu.ElimOff))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := job.Machine
 	if !got.Emu.CheckDeadReads || got.Emu.MaxOutputs != 7 {
 		t.Fatalf("WithScheme dropped emulator knobs: %+v", got.Emu)
 	}
@@ -30,8 +36,10 @@ func TestOverlayPreservesEmulatorKnobs(t *testing.T) {
 		t.Fatalf("scheme override disturbed the DVI config: %+v", got.Emu.DVI)
 	}
 
-	rs = resolve([]RunOption{WithMachineConfig(base), WithDVILevel(core.IDVI)})
-	got = rs.machineConfig()
+	if job, err = NewJob(runner.Timing, w, WithMachineConfig(base), WithDVILevel(core.IDVI)); err != nil {
+		t.Fatal(err)
+	}
+	got = job.Machine
 	if !got.Emu.CheckDeadReads || got.Emu.MaxOutputs != 7 {
 		t.Fatalf("WithDVILevel dropped emulator knobs: %+v", got.Emu)
 	}
@@ -44,8 +52,10 @@ func TestOverlayPreservesEmulatorKnobs(t *testing.T) {
 
 	ecfg := EmuConfigFor(core.Full, emu.ElimLVMStack)
 	ecfg.CheckDeadReads = true
-	rs = resolve([]RunOption{WithEmulatorConfig(ecfg), WithDVILevel(core.None)})
-	egot := rs.emulatorConfig()
+	if job, err = NewJob(runner.Functional, w, WithEmulatorConfig(ecfg), WithDVILevel(core.None)); err != nil {
+		t.Fatal(err)
+	}
+	egot := job.Emu
 	if !egot.CheckDeadReads {
 		t.Fatalf("emulator overlay dropped CheckDeadReads: %+v", egot)
 	}

@@ -3,6 +3,7 @@ package session
 import (
 	"context"
 
+	"dvi/internal/runner"
 	"dvi/internal/sample"
 	"dvi/internal/workload"
 )
@@ -35,11 +36,8 @@ func WithSamplingOptions(opt sample.Options) RunOption {
 // rendered machine stats). Sampling options come from WithSampling /
 // WithSamplingOptions, or the defaults when absent.
 func (s *Session) SimulateSampled(ctx context.Context, w workload.Spec, opts ...RunOption) (sample.Estimate, error) {
-	rs := resolve(opts)
-	if rs.sampling == nil {
-		rs.sampling = &sample.Options{}
-	}
-	res, err := s.one(ctx, timingJob(w, rs))
+	opts = append([]RunOption{WithSamplingOptions(sample.Options{})}, opts...)
+	res, err := s.one(ctx, runner.Timing, w, opts)
 	if err != nil {
 		return sample.Estimate{}, err
 	}

@@ -15,10 +15,14 @@
 // full DVI hardware, LVM-Stack elimination, and E-DVI annotated binaries
 // whenever the DVI level honours them.
 //
-// Every call is one or more engine jobs (runner.Job): a sampled
-// simulation is a Timing job with Sampling set, so Simulate,
-// SimulateSampled, Collect and Run all reach the sampler through the
-// same engine path as exact runs.
+// NewJob is the one resolver from run options to an engine job
+// (runner.Job): it derives the machine or emulator config and the
+// binary flavour, and validates the machine and any sampling plan.
+// Simulate, SimulateContexts, SimulateSampled, Emulate and
+// MeasureCtxSwitch are each NewJob plus one engine run; the HTTP
+// service and dvisim build their jobs through it too. A sampled
+// simulation is a Timing job with Sampling set, so Collect and Run
+// reach the sampler through the same engine path as exact runs.
 //
 //	sess := session.New(session.WithWorkers(8))
 //	w, _ := workload.ByName("perl")
@@ -98,7 +102,7 @@ func (s *Session) Cache() *runner.BuildCache { return s.eng.Cache() }
 func (s *Session) PoolStats() runner.PoolStats { return s.eng.PoolStats() }
 
 // Build compiles and links one workload, or returns the shared artifacts
-// from the build cache. The binary flavour follows the session's central
+// from the build cache. The binary flavour is NewJob's: the central
 // E-DVI rule (BuildOptionsFor) applied to the effective DVI level —
 // override it with WithEDVI. Cached artifacts are shared and must be
 // treated as read-only; callers that need to mutate the program (binary
@@ -106,14 +110,17 @@ func (s *Session) PoolStats() runner.PoolStats { return s.eng.PoolStats() }
 // private copy outside the cache.
 func (s *Session) Build(ctx context.Context, w workload.Spec, opts ...RunOption) (*prog.Program, *prog.Image, error) {
 	rs := resolve(opts)
-	bopt := rs.buildOptions(rs.effectiveLevel())
+	job, err := rs.job(runner.Build, w)
+	if err != nil {
+		return nil, nil, err
+	}
 	if rs.fresh {
 		if err := ctx.Err(); err != nil {
 			return nil, nil, err
 		}
-		return s.compile(w, rs.scale, bopt)
+		return s.compile(w, job.Scale, job.Build)
 	}
-	return s.eng.Cache().Get(ctx, w, rs.scale, bopt)
+	return s.eng.Cache().Get(ctx, w, job.Scale, job.Build)
 }
 
 // Simulate builds a workload (E-DVI annotations iff the machine's DVI
@@ -123,7 +130,7 @@ func (s *Session) Build(ctx context.Context, w workload.Spec, opts ...RunOption)
 // the returned stats are the estimate rendered in machine-stat shape
 // (SimulateSampled returns the estimate itself, CI included).
 func (s *Session) Simulate(ctx context.Context, w workload.Spec, opts ...RunOption) (ooo.Stats, error) {
-	res, err := s.one(ctx, timingJob(w, resolve(opts)))
+	res, err := s.one(ctx, runner.Timing, w, opts)
 	return res.Timing, err
 }
 
@@ -134,27 +141,11 @@ func (s *Session) Simulate(ctx context.Context, w workload.Spec, opts ...RunOpti
 // breakdown sum to the aggregate. Exact execution only: sampling is
 // single-context, use Simulate/SimulateSampled for it.
 func (s *Session) SimulateContexts(ctx context.Context, w workload.Spec, opts ...RunOption) (ooo.Stats, []ooo.Stats, error) {
-	rs := resolve(opts)
-	if rs.sampling != nil {
+	if resolve(opts).sampling != nil {
 		return ooo.Stats{}, nil, fmt.Errorf("session: SimulateContexts is exact; sampling is single-context (use Simulate)")
 	}
-	res, err := s.one(ctx, timingJob(w, rs))
+	res, err := s.one(ctx, runner.Timing, w, opts)
 	return res.Timing, res.CtxStats, err
-}
-
-// timingJob freezes resolved settings into one Timing job, sampled iff
-// WithSampling was given.
-func timingJob(w workload.Spec, rs runSettings) Job {
-	cfg := rs.machineConfig()
-	return Job{
-		Label:    rs.label,
-		Workload: w,
-		Scale:    rs.scale,
-		Build:    rs.buildOptions(cfg.Emu.DVI.Level),
-		Kind:     runner.Timing,
-		Machine:  cfg,
-		Sampling: rs.sampling,
-	}
 }
 
 // Emulate runs a workload on the functional reference emulator (drawn
@@ -162,17 +153,7 @@ func timingJob(w workload.Spec, rs runSettings) Job {
 // instruction budget is WithMaxInsts (0 = the engine's default safety
 // net, runner.DefaultEmuBudget).
 func (s *Session) Emulate(ctx context.Context, w workload.Spec, opts ...RunOption) (emu.Stats, error) {
-	rs := resolve(opts)
-	ecfg := rs.emulatorConfig()
-	res, err := s.one(ctx, Job{
-		Label:     rs.label,
-		Workload:  w,
-		Scale:     rs.scale,
-		Build:     rs.buildOptions(ecfg.DVI.Level),
-		Kind:      runner.Functional,
-		Emu:       ecfg,
-		EmuBudget: rs.maxInsts,
-	})
+	res, err := s.one(ctx, runner.Functional, w, opts)
 	return res.Func, err
 }
 
@@ -181,18 +162,7 @@ func (s *Session) Emulate(ctx context.Context, w workload.Spec, opts ...RunOptio
 // WithInterval sets the preemption sampling interval (0 = the measurement
 // default); WithMaxInsts bounds the run.
 func (s *Session) MeasureCtxSwitch(ctx context.Context, w workload.Spec, opts ...RunOption) (ctxswitch.Result, error) {
-	rs := resolve(opts)
-	ecfg := rs.emulatorConfig()
-	res, err := s.one(ctx, Job{
-		Label:     rs.label,
-		Workload:  w,
-		Scale:     rs.scale,
-		Build:     rs.buildOptions(ecfg.DVI.Level),
-		Kind:      runner.CtxSwitch,
-		Emu:       ecfg,
-		EmuBudget: rs.maxInsts,
-		Interval:  rs.interval,
-	})
+	res, err := s.one(ctx, runner.CtxSwitch, w, opts)
 	return res.Switch, err
 }
 
@@ -218,9 +188,13 @@ func (s *Session) Collect(ctx context.Context, jobs []Job) ([]Result, error) {
 	return s.eng.Run(ctx, jobs)
 }
 
-// one runs a single job through the engine (pooled instances, shared
-// cache, fail-fast error shape).
-func (s *Session) one(ctx context.Context, job Job) (Result, error) {
+// one resolves opts into a job of kind (NewJob) and runs it through the
+// engine (pooled instances, shared cache, fail-fast error shape).
+func (s *Session) one(ctx context.Context, kind runner.Kind, w workload.Spec, opts []RunOption) (Result, error) {
+	job, err := NewJob(kind, w, opts...)
+	if err != nil {
+		return Result{}, err
+	}
 	out, err := s.eng.Run(ctx, []Job{job})
 	if err != nil {
 		return Result{}, err

@@ -15,6 +15,7 @@ import (
 	"dvi/internal/ooo"
 	"dvi/internal/prog"
 	"dvi/internal/runner"
+	"dvi/internal/sample"
 	"dvi/internal/session"
 	"dvi/internal/workload"
 )
@@ -514,4 +515,57 @@ func TestCollectRecoversCompilePanic(t *testing.T) {
 	if n := sess.Engine().Panics(); n != 2 {
 		t.Errorf("Panics() = %d, want 2", n)
 	}
+}
+
+// TestNewJobRejectsBeforeBuilding pins that NewJob is where a job the
+// engine cannot run fails: a machine that used to deadlock or panic the
+// simulator, a multi-context sampled run and an unbounded sampling plan
+// all error from Simulate without compiling, let alone simulating. The
+// plans the repo itself uses stay valid.
+func TestNewJobRejectsBeforeBuilding(t *testing.T) {
+	ctx := context.Background()
+	w, _ := workload.ByName("li")
+	rc := &recordingCompile{}
+	sess := session.New(session.WithCompile(rc.fn()))
+
+	for _, c := range []struct {
+		want string
+		opts []session.RunOption
+	}{
+		{"issue width 0 < 1", []session.RunOption{session.WithMachineConfig(machineWith(func(c *ooo.Config) { c.IssueWidth = 0 }))}},
+		{"window size -1 < 1", []session.RunOption{session.WithMachineConfig(machineWith(func(c *ooo.Config) { c.WindowSize = -1 }))}},
+		{"cache ports 0 < 1", []session.RunOption{session.WithMachineConfig(machineWith(func(c *ooo.Config) { c.CachePorts = 0 }))}},
+		{"stack depth -1", []session.RunOption{session.WithMachineConfig(machineWith(func(c *ooo.Config) { c.Emu.DVI.StackDepth = -1 }))}},
+		{"need at least 129 physical registers", []session.RunOption{session.WithContexts(4)}},
+		{"sampling is single-context", []session.RunOption{session.WithContexts(2),
+			session.WithMachineConfig(machineWith(func(c *ooo.Config) { c.PhysRegs = 128 })), session.WithSampling(4000, 1000, 0)}},
+		{"sampling.interval 10 splits max_insts 200000 into 20000 intervals", []session.RunOption{session.WithSampling(10, 0, 0)}},
+	} {
+		opts := append([]session.RunOption{session.WithMaxInsts(200_000)}, c.opts...)
+		if _, err := sess.Simulate(ctx, w, opts...); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("Simulate error = %v, want %q", err, c.want)
+		}
+	}
+	if n := rc.count.Load(); n != 0 {
+		t.Fatalf("rejected jobs compiled %d binaries, want 0", n)
+	}
+
+	// The default plan at the service's instruction ceiling, perfbench's
+	// sampled mix and the tests' 4000-instruction plans all fit.
+	for _, p := range []struct{ max, interval uint64 }{{2_000_000, 0}, {60_000, 5_000}, {120_000, 4_000}} {
+		if _, err := session.NewJob(runner.Timing, w, session.WithMaxInsts(p.max),
+			session.WithSamplingOptions(sample.Options{Interval: p.interval})); err != nil {
+			t.Errorf("plan %d/%d rejected: %v", p.max, p.interval, err)
+		}
+	}
+	if _, err := session.NewJob(runner.Annotate, w); err == nil {
+		t.Error("NewJob built an annotate job from run options")
+	}
+}
+
+// machineWith is the paper machine edited by edit.
+func machineWith(edit func(*ooo.Config)) ooo.Config {
+	cfg := ooo.DefaultConfig()
+	edit(&cfg)
+	return cfg
 }
